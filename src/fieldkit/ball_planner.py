@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, NoPath
 from .field_model import FieldPose, FieldSpec, GridIndex, cell_center, kick_offsets, pose_to_cell
-from .geometry import normalize_angle, point_segment_distance
+from .geometry import normalize_angle, points_segments_distance
 
 Point = tuple[float, float]
 
@@ -86,10 +86,7 @@ def time_to_approach_ball(ball: Point, robot: FieldPose, ctx: PlanContext) -> fl
 
 def intersect_opponent(from_pos: Point, to_pos: Point, opponents, radius: float) -> bool:
     """True iff any opponent disc of the given radius blocks the open segment."""
-    for o in opponents:
-        if point_segment_distance(o, from_pos, to_pos) < radius:
-            return True
-    return False
+    return bool((points_segments_distance(opponents, from_pos, to_pos) < radius).any())
 
 
 def compute_cost(ctx: PlanContext, from_pos: Point, to_pos: Point, first_kick: bool) -> float:
@@ -163,19 +160,9 @@ def _travel_times(spec: FieldSpec, kicks: tuple[float, ...], ball_speed: float):
     return indptr, dst, dist / ball_speed
 
 
-def _segment_blocked(a: Point, ends: np.ndarray, opponents: np.ndarray, radius: float) -> np.ndarray:
-    """Vectorized intersect_opponent for one start and (N, 2) segment ends."""
-    blocked = np.zeros(len(ends), dtype=bool)
-    a = np.asarray(a, dtype=float)
-    for o in opponents:
-        d = ends - a
-        seg_len2 = np.einsum("ij,ij->i", d, d)
-        safe = np.where(seg_len2 == 0.0, 1.0, seg_len2)
-        t = np.clip(((o - a) @ d.T) / safe, 0.0, 1.0)
-        closest = a + t[:, None] * d
-        dist = np.hypot(o[0] - closest[:, 0], o[1] - closest[:, 1])
-        blocked |= dist < radius
-    return blocked
+def _segment_blocked(a: Point, ends, opponents, radius: float) -> np.ndarray:
+    """intersect_opponent for one start and (S, 2) segment ends, shape (S,)."""
+    return (points_segments_distance(opponents, a, ends) < radius).any(axis=0)
 
 
 def _approach_times(points: np.ndarray, robot: FieldPose, ctx: PlanContext) -> np.ndarray:

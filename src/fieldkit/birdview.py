@@ -206,14 +206,25 @@ def unproject_to_ground(px, ex: CameraExtrinsics, intr: CameraIntrinsics) -> tup
     return (ex.position[0] + t * d[0], ex.position[1] + t * d[1])
 
 
-def _sample_nearest(channel: np.ndarray, u, v, valid):
-    h, w = channel.shape
-    ui = np.rint(u).astype(np.int64)
-    vi = np.rint(v).astype(np.int64)
-    ok = valid & (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-    out = np.zeros(u.shape, dtype=channel.dtype)
-    out[ok] = channel[vi[ok], ui[ok]]
-    return out
+def _sample_nearest(r: Raster, u, v, valid, shape) -> Raster:
+    """Nearest-pixel lookup of both channels; points off the image read 0.
+
+    Rounds and masks once for both channels, and casts only the in-image
+    indices, so far-off or non-finite coordinates never reach the cast.
+    """
+    h, w = r.luma.shape
+    ur = np.rint(u)
+    vr = np.rint(v)
+    ok = valid & (ur >= 0) & (ur < w) & (vr >= 0) & (vr < h)
+    vi = vr[ok].astype(np.int64)
+    ui = ur[ok].astype(np.int64)
+
+    def gather(channel):
+        out = np.zeros(u.shape, dtype=channel.dtype)
+        out[ok] = channel[vi, ui]
+        return out.reshape(shape)
+
+    return Raster(gather(r.luma), gather(r.green))
 
 
 def _sample_bilinear(channel: np.ndarray, u, v, valid):
@@ -247,11 +258,11 @@ def birdview_transform(r: Raster, ex: CameraExtrinsics, intr: CameraIntrinsics,
     fx, fy = spec.pixel_to_field(cols.ravel(), rows.ravel())
     pts = np.column_stack([fx, fy, np.zeros(fx.size)])
     u, v, valid = _project_arrays(pts, ex, intr)
-    sample = _sample_bilinear if bilinear else _sample_nearest
     shape = (spec.out_height, spec.out_width)
-    luma = sample(r.luma, u, v, valid).reshape(shape)
-    green = sample(r.green, u, v, valid).reshape(shape)
-    return Raster(luma, green)
+    if not bilinear:
+        return _sample_nearest(r, u, v, valid, shape)
+    return Raster(_sample_bilinear(r.luma, u, v, valid).reshape(shape),
+                  _sample_bilinear(r.green, u, v, valid).reshape(shape))
 
 
 def emulate_wide_angle(r: Raster, intr: CameraIntrinsics, k1: float, k2: float) -> Raster:
@@ -270,9 +281,7 @@ def emulate_wide_angle(r: Raster, intr: CameraIntrinsics, k1: float, k2: float) 
     u = intr.fx * xn + intr.cx
     v = intr.fy * yn + intr.cy
     valid = np.ones(u.shape, dtype=bool)
-    shape = (r.height, r.width)
-    return Raster(_sample_nearest(r.luma, u, v, valid).reshape(shape),
-                  _sample_nearest(r.green, u, v, valid).reshape(shape))
+    return _sample_nearest(r, u, v, valid, (r.height, r.width))
 
 
 def fov_mask(intr: CameraIntrinsics, fov_limit: float) -> np.ndarray:

@@ -51,10 +51,25 @@ def _read_text(path):
 
 
 def _load_json(path):
+    """Read a JSON document; every command's documents are objects."""
     try:
-        return json.loads(_read_text(path))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _positive_int(text):
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _config(args):
@@ -138,6 +153,8 @@ def cmd_plan(args):
         )
     except KeyError as exc:
         raise InputError(f"scene missing {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise InputError(f"bad scene value: {exc}") from exc
     plan = plan_ball_path(ctx, field, zero_heuristic=args.zero_heuristic)
     cells = [[c.row, c.col] for c in (pose_to_cell(w, field) for w in plan.waypoints)]
     _dump_json({
@@ -447,7 +464,7 @@ def build_parser():
 
     q = sub.add_parser("localize", help="run the particle filter over a trajectory", parents=[shared])
     q.add_argument("trajectory")
-    q.add_argument("--particles", type=int, default=500)
+    q.add_argument("--particles", type=_positive_int, default=500)
     q.set_defaults(fn=cmd_localize)
 
     q = sub.add_parser("stereo", help="obstacles from a rectified PGM/PPM pair", parents=[shared])
@@ -459,7 +476,7 @@ def build_parser():
 
     q = sub.add_parser("pipeline-bench", help="run a pipeline of sleep filters", parents=[shared])
     q.add_argument("pipeline")
-    q.add_argument("--frames", type=int, default=8)
+    q.add_argument("--frames", type=_positive_int, default=8)
     q.add_argument("--sleep-ms", type=float, default=50.0)
     q.add_argument("--workers", type=int, default=None)
     q.set_defaults(fn=cmd_pipeline_bench)
@@ -471,7 +488,7 @@ def build_parser():
 
     q = sub.add_parser("gen-trajectory", help="generate a localization trajectory", parents=[shared])
     q.add_argument("scene", nargs="?", default=None)
-    q.add_argument("--steps", type=int, default=50)
+    q.add_argument("--steps", type=_positive_int, default=50)
     q.set_defaults(fn=cmd_gen_trajectory)
     return p
 

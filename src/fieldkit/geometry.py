@@ -1,4 +1,5 @@
-"""Small shared 2D geometry helpers (scalar and vectorized forms)."""
+"""Small shared 2D geometry helpers: angle wrapping, undirected-direction
+difference, line intersection and the one point-to-segment distance."""
 
 from __future__ import annotations
 
@@ -26,11 +27,6 @@ def normalize_angles(theta: np.ndarray) -> np.ndarray:
     return np.where(t == -math.pi, math.pi, t)
 
 
-def angle_diff(a: float, b: float) -> float:
-    """Signed minimal rotation taking b onto a, in (-pi, pi]."""
-    return normalize_angle(a - b)
-
-
 def axial_diff(a: float, b: float) -> float:
     """Absolute difference between two undirected (mod-pi) directions, in [0, pi/2]."""
     d = abs(math.fmod(a - b, math.pi))
@@ -39,50 +35,24 @@ def axial_diff(a: float, b: float) -> float:
     return d
 
 
-def point_segment_distance(p, a, b) -> float:
-    """Distance from point p to the closed segment [a, b]."""
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx = bx - ax
-    dy = by - ay
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 == 0.0:
-        return math.sqrt((px - ax) ** 2 + (py - ay) ** 2)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
-    t = min(1.0, max(0.0, t))
-    cx = ax + t * dx
-    cy = ay + t * dy
-    return math.sqrt((px - cx) ** 2 + (py - cy) ** 2)
+def points_segments_distance(points, starts, ends) -> np.ndarray:
+    """Distances from N points to S closed segments [starts, ends], shape (N, S).
 
-
-def points_segment_distance(points: np.ndarray, a, b) -> np.ndarray:
-    """Distances from an (N, 2) array of points to the closed segment [a, b]."""
-    pts = np.asarray(points, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    seg_len2 = float(d @ d)
-    if seg_len2 == 0.0:
-        return np.hypot(pts[:, 0] - a[0], pts[:, 1] - a[1])
-    t = ((pts - a) @ d) / seg_len2
-    t = np.clip(t, 0.0, 1.0)
-    closest = a + t[:, None] * d
-    return np.hypot(pts[:, 0] - closest[:, 0], pts[:, 1] - closest[:, 1])
-
-
-def segments_point_distance(p, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Distance from one point to each segment in (N, 2) start/end arrays."""
-    p = np.asarray(p, dtype=float)
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    d = ends - starts
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    safe = np.where(seg_len2 == 0.0, 1.0, seg_len2)
-    t = np.clip(np.einsum("ij,ij->i", p - starts, d) / safe, 0.0, 1.0)
-    t = np.where(seg_len2 == 0.0, 0.0, t)
-    closest = starts + t[:, None] * d
-    return np.hypot(p[0] - closest[:, 0], p[1] - closest[:, 1])
+    Written as elementwise arithmetic in one fixed order (no BLAS dot
+    products), so every caller gets the same bits for the same pair. A
+    zero-length segment measures the distance to its start point.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    a = np.asarray(starts, dtype=float).reshape(-1, 2)
+    b = np.asarray(ends, dtype=float).reshape(-1, 2)
+    px, py = p[:, :1], p[:, 1:]
+    ax, ay = a[:, 0], a[:, 1]
+    dx = b[:, 0] - ax
+    dy = b[:, 1] - ay
+    len2 = dx * dx + dy * dy
+    safe_len2 = np.where(len2 == 0.0, 1.0, len2)
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / safe_len2, 0.0, 1.0)
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def line_intersection(p0, d0, p1, d1):
@@ -97,16 +67,3 @@ def line_intersection(p0, d0, p1, d1):
     dy = p1[1] - p0[1]
     t = (dx * d1[1] - dy * d1[0]) / cross
     return (p0[0] + t * d0[0], p0[1] + t * d0[1])
-
-
-def unit(v):
-    """Normalize a 2D vector, returning a tuple."""
-    n = math.hypot(v[0], v[1])
-    if n == 0.0:
-        raise ValueError("cannot normalize zero vector")
-    return (v[0] / n, v[1] / n)
-
-
-def rot2d(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import Degenerate, InputError
 from .field_model import FieldPose, FieldSpec
-from .geometry import normalize_angle, normalize_angles, points_segment_distance
+from .geometry import normalize_angle, normalize_angles, points_segments_distance
 from .line_vision import LineSegment, detect_corners
 
 LINE = "line"
@@ -171,10 +171,7 @@ def expected_observations(pose: FieldPose, spec: FieldSpec,
     (starts, ends, phi, normals, offsets), (cpos, corient), posts = _layout_features(spec)
     out: list[RobotObservation] = []
     p = np.array([pose.x, pose.y])
-    seg_dist = np.array([
-        points_segment_distance(p.reshape(1, 2), starts[i], ends[i])[0]
-        for i in range(len(starts))
-    ])
+    seg_dist = points_segments_distance(p, starts, ends)[0]
     for i in np.flatnonzero(seg_dist <= max_range):
         d_r = float(offsets[i] - normals[i] @ p)
         out.append(line_observation(d_r, float(phi[i] - pose.theta)))
@@ -193,95 +190,97 @@ def expected_observations(pose: FieldPose, spec: FieldSpec,
 
 
 # --- measurement model -------------------------------------------------------
+#
+# The expected features depend on the particle poses only, so they are
+# computed once per update as (N particles, S features) arrays, and each
+# observation is then one broadcast against them with a min over features.
+# The arrays are built with the same elementwise operations, in the same
+# order, as the per-feature reference loops in
+# tests/test_localization_oracle.py, and update_and_resample multiplies the
+# per-observation likelihoods into the weights in observation order. Both
+# keep the weights bit-identical to that reference; reordering either one
+# changes the last bits of the weights and with them every seeded run.
 
-def _line_residuals_sq(obs: RobotObservation, poses: np.ndarray,
-                       spec: FieldSpec, sm: SensorModel) -> np.ndarray:
-    """Min squared normalized residual of a line observation per particle."""
-    (starts, ends, phi, normals, offsets), _, _ = _layout_features(spec)
-    n = len(poses)
-    best = np.full(n, np.inf)
-    x, y, th = poses[:, 0], poses[:, 1], poses[:, 2]
-    for i in range(len(starts)):
-        d_exp = offsets[i] - (normals[i, 0] * x + normals[i, 1] * y)
-        raw = phi[i] - th
-        phi_exp = np.mod(raw, math.pi)
-        phi_exp = np.where(phi_exp >= math.pi, phi_exp - math.pi, phi_exp)
-        # folding the direction by pi flips the normal and the signed distance
-        wraps = np.rint((raw - phi_exp) / math.pi)
-        d_exp = np.where(wraps % 2 != 0, -d_exp, d_exp)
+_RESIDUAL_DIMS = {LINE: 2, CORNER: 2, POINT: 1}
+
+
+def _to_robot_frame(points: np.ndarray, poses: np.ndarray, max_range: float):
+    """Field points (S, 2) seen from every pose: robot-frame x, y and the
+    in-range mask, each (N, S)."""
+    x, y, th = poses[:, :1], poses[:, 1:2], poses[:, 2]
+    cth, sth = np.cos(-th)[:, None], np.sin(-th)[:, None]
+    dx = points[:, 0] - x
+    dy = points[:, 1] - y
+    rel_x = cth * dx - sth * dy
+    rel_y = sth * dx + cth * dy
+    return rel_x, rel_y, np.hypot(rel_x, rel_y) <= max_range
+
+
+def _expected_features(poses: np.ndarray, spec: FieldSpec, max_range: float) -> dict:
+    """Pose-only expected features of each kind, (N, S) arrays.
+
+    Lines: signed distance and direction in [0, pi) in the robot frame,
+    plus the in-range mask. Corners: robot-frame position, in-range mask
+    and field bisector minus heading. Points: robot-frame position and
+    in-range mask.
+    """
+    (starts, ends, phi, normals, offsets), (cpos, corient), posts = _layout_features(spec)
+    x, y, th = poses[:, :1], poses[:, 1:2], poses[:, 2:]
+    d_exp = offsets - (normals[:, 0] * x + normals[:, 1] * y)
+    raw = phi - th
+    phi_exp = np.mod(raw, math.pi)
+    phi_exp = np.where(phi_exp >= math.pi, phi_exp - math.pi, phi_exp)
+    # folding the direction by pi flips the normal and the signed distance
+    wraps = np.rint((raw - phi_exp) / math.pi)
+    d_exp = np.where(wraps % 2 != 0, -d_exp, d_exp)
+    in_range = points_segments_distance(poses[:, :2], starts, ends) <= max_range
+    return {LINE: (d_exp, phi_exp, in_range),
+            CORNER: (*_to_robot_frame(cpos, poses, max_range), corient - th),
+            POINT: _to_robot_frame(posts, poses, max_range)}
+
+
+def _residuals_sq(obs: RobotObservation, expected: dict, sm: SensorModel) -> np.ndarray:
+    """Min squared normalized residual of one observation per particle, over
+    the in-range features of its kind (inf when none is in range)."""
+    if obs.kind == LINE:
+        d_exp, phi_exp, in_range = expected[LINE]
         dphi = np.abs(phi_exp - obs.direction)
         flip = dphi > math.pi / 2
         ddist = np.where(flip, d_exp + obs.distance, d_exp - obs.distance)
         dphi = np.where(flip, math.pi - dphi, dphi)
-        seg_d = points_segment_distance(poses[:, :2], starts[i], ends[i])
         r2 = (ddist / sm.sigma_d) ** 2 + (dphi / sm.sigma_theta) ** 2
-        r2 = np.where(seg_d <= sm.max_range, r2, np.inf)
-        best = np.minimum(best, r2)
-    return best
-
-
-def _corner_residuals_sq(obs, poses, spec, sm) -> np.ndarray:
-    _, (cpos, corient), _ = _layout_features(spec)
-    n = len(poses)
-    best = np.full(n, np.inf)
-    if not len(cpos):
-        return best
-    x, y, th = poses[:, 0], poses[:, 1], poses[:, 2]
-    cth, sth = np.cos(-th), np.sin(-th)
-    for i in range(len(cpos)):
-        dx = cpos[i, 0] - x
-        dy = cpos[i, 1] - y
-        rel_x = cth * dx - sth * dy
-        rel_y = sth * dx + cth * dy
-        in_range = np.hypot(rel_x, rel_y) <= sm.max_range
+    else:
+        rel_x, rel_y, in_range = expected[obs.kind][:3]
         dp2 = (rel_x - obs.position[0]) ** 2 + (rel_y - obs.position[1]) ** 2
-        dth = np.abs(normalize_angles(corient[i] - th - obs.orientation))
-        r2 = dp2 / sm.sigma_p ** 2 + (dth / sm.sigma_theta) ** 2
-        best = np.minimum(best, np.where(in_range, r2, np.inf))
-    return best
+        r2 = dp2 / sm.sigma_p ** 2
+        if obs.kind == CORNER:
+            dth = np.abs(normalize_angles(expected[CORNER][3] - obs.orientation))
+            r2 = r2 + (dth / sm.sigma_theta) ** 2
+    return np.min(np.where(in_range, r2, np.inf), axis=1, initial=np.inf)
 
 
-def _point_residuals_sq(obs, poses, spec, sm) -> np.ndarray:
-    _, _, posts = _layout_features(spec)
-    n = len(poses)
-    best = np.full(n, np.inf)
-    x, y, th = poses[:, 0], poses[:, 1], poses[:, 2]
-    cth, sth = np.cos(-th), np.sin(-th)
-    for i in range(len(posts)):
-        dx = posts[i, 0] - x
-        dy = posts[i, 1] - y
-        rel_x = cth * dx - sth * dy
-        rel_y = sth * dx + cth * dy
-        in_range = np.hypot(rel_x, rel_y) <= sm.max_range
-        dp2 = (rel_x - obs.position[0]) ** 2 + (rel_y - obs.position[1]) ** 2
-        best = np.minimum(best, np.where(in_range, dp2 / sm.sigma_p ** 2, np.inf))
-    return best
-
-
-_RESIDUALS = {LINE: _line_residuals_sq, CORNER: _corner_residuals_sq,
-              POINT: _point_residuals_sq}
-
-
-def _likelihoods(obs: RobotObservation, poses: np.ndarray, spec: FieldSpec,
-                 sm: SensorModel) -> np.ndarray:
-    """Gaussian kernel on the best-matching expected feature, gated and floored."""
+def _observation_likelihoods(observations, poses: np.ndarray, spec: FieldSpec,
+                             sm: SensorModel):
+    """Per-particle likelihood of each observation, yielded in order: a
+    Gaussian kernel on the best-matching feature, gated and floored."""
+    observations = list(observations)
+    if not observations:
+        return
     if min(sm.sigma_d, sm.sigma_p, sm.sigma_theta) <= 0:
         raise InputError("likelihood evaluation needs positive sigmas")
-    r2 = _RESIDUALS[obs.kind](obs, poses, spec, sm)
-    score = np.exp(-0.5 * np.minimum(r2, 1e6))
-    gated = r2 > sm.gate ** 2 * _residual_dims(obs.kind)
-    return np.where(gated, sm.floor, np.maximum(score, sm.floor))
-
-
-def _residual_dims(kind: str) -> int:
-    return {LINE: 2, CORNER: 2, POINT: 1}[kind]
+    expected = _expected_features(poses, spec, sm.max_range)
+    for obs in observations:
+        r2 = _residuals_sq(obs, expected, sm)
+        score = np.exp(-0.5 * np.minimum(r2, 1e6))
+        gated = r2 > sm.gate ** 2 * _RESIDUAL_DIMS[obs.kind]
+        yield np.where(gated, sm.floor, np.maximum(score, sm.floor))
 
 
 def observation_likelihood(obs: RobotObservation, pose: FieldPose,
                            spec: FieldSpec, sigmas: SensorModel) -> float:
     """Score of one observation under one pose hypothesis (1.0 at zero residual)."""
     poses = np.array([[pose.x, pose.y, pose.theta]])
-    return float(_likelihoods(obs, poses, spec, sigmas)[0])
+    return float(next(_observation_likelihoods([obs], poses, spec, sigmas))[0])
 
 
 # --- filter steps ------------------------------------------------------------
@@ -312,8 +311,8 @@ def update_and_resample(particles: ParticleSet, observations, spec: FieldSpec,
     """Weight particles by the observation likelihood product, then resample
     systematically when the effective sample size drops below half."""
     w = particles.weights.copy()
-    for obs in observations:
-        w = w * _likelihoods(obs, particles.poses, spec, sigmas)
+    for lik in _observation_likelihoods(observations, particles.poses, spec, sigmas):
+        w = w * lik
     total = w.sum()
     if total == 0.0:
         raise Degenerate("all particle weights underflowed to zero")

@@ -13,6 +13,7 @@ import numpy as np
 
 from .birdview import BirdviewSpec, CameraExtrinsics, CameraIntrinsics, _undistort_normalized
 from .field_model import FieldPose, FieldSpec
+from .geometry import points_segments_distance
 from .localization import (
     CORNER,
     LINE,
@@ -55,11 +56,10 @@ def paint_ground(spec: FieldSpec, xs: np.ndarray, ys: np.ndarray):
     half = spec.line_width / 2.0
     on_line = np.zeros(xs.shape, dtype=bool)
     pts = np.column_stack([xs.ravel(), ys.ravel()])
-    for (ax, ay), (bx, by) in spec.line_segments:
-        dx, dy = bx - ax, by - ay
-        seg2 = dx * dx + dy * dy
-        t = np.clip(((pts[:, 0] - ax) * dx + (pts[:, 1] - ay) * dy) / seg2, 0.0, 1.0)
-        d = np.hypot(pts[:, 0] - (ax + t * dx), pts[:, 1] - (ay + t * dy))
+    # one segment per call: all segments at once would hold several
+    # (pixels x segments) temporaries
+    for a, b in spec.line_segments:
+        d = points_segments_distance(pts, a, b)
         on_line |= (d <= half).reshape(xs.shape)
     ring = np.abs(np.hypot(xs - spec.circle_center[0], ys - spec.circle_center[1])
                   - spec.circle_radius)

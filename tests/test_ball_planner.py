@@ -5,6 +5,7 @@ import pytest
 
 from fieldkit.ball_planner import (
     PlanContext,
+    _segment_blocked,
     compute_cost,
     heuristic,
     intersect_opponent,
@@ -119,6 +120,24 @@ def test_intersect_opponent_matches_dense_sampling():
             assert abs(d - radius) < 1e-5
         else:
             assert dense == got
+
+
+def test_intersect_opponent_agrees_with_vectorized_blocked_flags():
+    # seeded case on which a BLAS distance and a scalar sqrt distance
+    # disagreed in the last bit, across the radius: A* (vectorized) and
+    # compute_cost / plan_cost_recomputed (scalar) must flag the same edges
+    start = (2.4400233899630415, 2.46352631789195)
+    end = (-4.014623678565092, -1.049680072930336)
+    opp = (0.7803821041929742, 0.6926491002381523)
+    radius = 0.7619901654800694
+    vectorized = _segment_blocked(start, np.array([end]), np.array([opp]), radius)
+    assert bool(vectorized[0]) == intersect_opponent(start, end, [opp], radius)
+    rng = np.random.default_rng(5)
+    ends = rng.uniform(-4, 4, (200, 2))
+    opps = rng.uniform(-4, 4, (3, 2))
+    flags = _segment_blocked(start, ends, opps, radius)
+    assert flags.tolist() == [intersect_opponent(start, tuple(e), [tuple(o) for o in opps], radius)
+                              for e in ends]
 
 
 # --- heuristic ---------------------------------------------------------------

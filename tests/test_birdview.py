@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fieldkit.birdview import (
     BirdviewSpec,
+    _project_arrays,
     CameraExtrinsics,
     CameraIntrinsics,
     apply_mask,
@@ -262,3 +264,38 @@ def test_apply_mask_blacks_out():
     mask[1, 2] = 255
     out = apply_mask(r, mask)
     assert out.luma[1, 2] == 200 and out.luma.sum() == 200
+
+
+def _reference_sample_nearest(channel, u, v, valid):
+    # the sampler before rounding and masking were shared between channels;
+    # it casts every rounded coordinate, in-image or not
+    h, w = channel.shape
+    ui = np.rint(u).astype(np.int64)
+    vi = np.rint(v).astype(np.int64)
+    ok = valid & (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
+    out = np.zeros(u.shape, dtype=channel.dtype)
+    out[ok] = channel[vi[ok], ui[ok]]
+    return out
+
+
+def test_birdview_far_points_sample_without_cast_warnings():
+    # points near the camera's horizon project to huge or non-finite pixel
+    # coordinates; nearest sampling must skip them silently, same output
+    intr = make_intr(k1=-0.3, k2=0.1)
+    ex = CameraExtrinsics(position=(0.0, 0.0, 0.7), rpy=(0.0, 0.55, 0.3))
+    spec = BirdviewSpec()
+    rng = np.random.default_rng(0)
+    r = Raster(rng.integers(0, 256, (240, 320), dtype=np.uint8),
+               rng.integers(0, 256, (240, 320), dtype=np.uint8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = birdview_transform(r, ex, intr, spec)
+    rows, cols = np.mgrid[0:spec.out_height, 0:spec.out_width]
+    fx, fy = spec.pixel_to_field(cols.ravel(), rows.ravel())
+    u, v, valid = _project_arrays(np.column_stack([fx, fy, np.zeros(fx.size)]), ex, intr)
+    with np.errstate(invalid="ignore"):
+        want_luma = _reference_sample_nearest(r.luma, u, v, valid)
+        want_green = _reference_sample_nearest(r.green, u, v, valid)
+    assert not np.isfinite(u[valid]).all() or np.abs(u[valid]).max() > 2.0 ** 63
+    assert np.array_equal(out.luma.ravel(), want_luma)
+    assert np.array_equal(out.green.ravel(), want_green)

@@ -51,8 +51,33 @@ def test_plan_subcommand(tmp_path, scene_file):
 
 def test_plan_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"robot": [0, 0, 0]}))  # no ball
-    assert run_cli("plan", bad) == 2
+    for doc in ({"robot": [0, 0, 0]},                 # no ball
+                {"robot": [0, 0, 0], "ball": "x"},    # ball not a point
+                [[0, 0, 0], [0.5, 0.2]]):             # not an object
+        bad.write_text(json.dumps(doc))
+        assert run_cli("plan", bad) == 2, doc
+
+
+def test_render_non_object_document_exit_code(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([1, 2, 3]))
+    assert run_cli("render", bad, "--out", tmp_path / "r.ppm") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-trajectory", "--steps", "0"],
+    ["localize", "{traj}", "--particles", "-3"],
+    ["pipeline-bench", "{pipe}", "--frames", "0"],
+])
+def test_non_positive_counts_exit_code(tmp_path, argv):
+    traj = tmp_path / "traj.json"
+    traj.write_text(json.dumps({"steps": []}))
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text(json.dumps({"source_slots": [], "filters": []}))
+    # argparse rejects the count before any command runs
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[a.format(traj=traj, pipe=pipe) for a in argv])
+    assert exc.value.code == 2
 
 
 def test_missing_files_exit_code(tmp_path):
