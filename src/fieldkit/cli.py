@@ -265,8 +265,14 @@ def cmd_localize(args):
                          seed=args.seed or 0)
     lines = []
     for k, step in enumerate(doc.get("steps", ())):
-        obs = [RobotObservation.from_dict(o) for o in step["observations"]]
-        f.step(step["odometry"], odo, obs)
+        try:
+            odometry = [float(v) for v in step["odometry"]]
+            obs = [RobotObservation.from_dict(o) for o in step["observations"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"step {k} needs 'odometry' and a list of 'observations'") from exc
+        if len(odometry) != 3:
+            raise InputError(f"step {k}: odometry must be [dx, dy, dtheta]")
+        f.step(odometry, odo, obs)
         est, (sxy, sth) = f.estimate()
         mode = f.dominant()
         lines.append(json.dumps({
@@ -345,11 +351,14 @@ def cmd_pipeline_bench(args):
     def bench(serial):
         ctx = RunContext(serial=serial, max_workers=args.workers)
         times = []
-        for k in range(args.frames):
-            ctx.sources = {s: k for s in spec.source_slots}
-            t0 = time.perf_counter()
-            run_frame(plan, registry, k, ctx)
-            times.append(time.perf_counter() - t0)
+        try:
+            for k in range(args.frames):
+                ctx.sources = {s: k for s in spec.source_slots}
+                t0 = time.perf_counter()
+                run_frame(plan, registry, k, ctx)
+                times.append(time.perf_counter() - t0)
+        finally:
+            ctx.close()
         return times
 
     parallel_times = bench(serial=False)

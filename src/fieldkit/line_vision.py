@@ -1,12 +1,13 @@
 """Field-line and corner detection.
 
 Pipeline: a three-rectangle sliding window scores every (decimated) image
-site in a horizontal and a vertical pass, producing two heatmaps; 1-D
-non-maximum suppression along each pass's scan direction keeps line-center
-candidates; a seeded progressive probabilistic Hough transform turns the
-candidates into segments; near-collinear segments are merged; pairs of
-merged lines meeting near 90 degrees become corner observations (1 for an
-L junction, 2 for a T, 4 for an X).
+site in a horizontal and a vertical pass, producing two heatmaps; each pass
+scores the whole site grid as one box-sum evaluation on integral images per
+distinct line width. 1-D non-maximum suppression along each pass's scan
+direction keeps line-center candidates; a seeded progressive probabilistic
+Hough transform turns the candidates into segments; near-collinear segments
+are merged; pairs of merged lines meeting near 90 degrees become corner
+observations (1 for an L junction, 2 for a T, 4 for an X).
 """
 
 from __future__ import annotations
@@ -121,14 +122,16 @@ class VisionConfig:
 
 def integral_image(channel: np.ndarray) -> np.ndarray:
     """Summed-area table with a zero border: table[y, x] = sum over [0,y) x [0,x)."""
-    c = np.asarray(channel, dtype=np.int64)
+    c = np.asarray(channel)
     out = np.zeros((c.shape[0] + 1, c.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(c, axis=0), axis=1, out=out[1:, 1:])
+    np.cumsum(c, axis=0, dtype=np.int64, out=out[1:, 1:])
+    np.cumsum(out[1:, 1:], axis=1, out=out[1:, 1:])
     return out
 
 
 def rect_sum(table: np.ndarray, y0, y1, x0, x1):
-    """Sum of pixels in rows [y0, y1), cols [x0, x1); bounds may be arrays."""
+    """Sum of pixels in rows [y0, y1), cols [x0, x1); bounds may be arrays,
+    and the column bounds may be slices of equal length."""
     return table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
 
 
@@ -143,64 +146,46 @@ def line_response_pass(r: Raster, direction: str, width_map, decimation: int,
     """Three-rectangle sliding-window score: bright middle, dark green sides.
 
     The middle rectangle width follows the expected line width for the image
-    row; the side rectangles are the same size and adjacent. Scores clip at 0.
+    row; the side rectangles are the same size and adjacent. Scores clip at 0,
+    and sites whose window leaves the image score 0. The site grid is scored
+    as one box-sum evaluation per distinct line width, on integral images.
     """
     if direction not in (HORIZONTAL, VERTICAL):
         raise InputError(f"unknown pass direction {direction!r}")
     h, w = r.luma.shape
-    wm = _width_map_as_array(width_map, h)
-    it_l = integral_image(r.luma)
-    it_g = integral_image(r.green)
     rows = np.arange(0, h, decimation)
-    cols = np.arange(0, w, decimation)
-    values = np.zeros((len(rows), len(cols)))
-    for i, row in enumerate(rows):
-        lw = int(wm[row])
+    n_cols = len(range(0, w, decimation))
+    row_widths = _width_map_as_array(width_map, h)[rows]
+    tables = (integral_image(r.luma), integral_image(r.green))
+    values = np.zeros((len(rows), n_cols))
+    for lw in np.unique(row_widths).tolist():
         half = lw // 2
+        # window edges relative to the site: three lw-wide boxes along the
+        # scan direction ([side][mid][side]), one lw-wide box across it
+        along = (-half - lw, -half, -half + lw, -half + 2 * lw)
+        across = (-half, -half + lw)
+        row_edges, col_edges = (across, along) if direction == HORIZONTAL else (along, across)
+        i = np.flatnonzero(row_widths == lw)
+        i = i[(rows[i] + row_edges[0] >= 0) & (rows[i] + row_edges[-1] <= h)]
+        # the sites whose window fits between columns 0 and w are contiguous
+        j0 = -(col_edges[0] // decimation)
+        j1 = min(n_cols - 1, (w - col_edges[-1]) // decimation)
+        if len(i) == 0 or j1 < j0:
+            continue
+        ys = [rows[i] + e for e in row_edges]
+        xs = [slice(j0 * decimation + e, j1 * decimation + e + 1, decimation) for e in col_edges]
         if direction == HORIZONTAL:
-            # window slides along x: [left][mid][right], each lw wide, lw tall
-            y0, y1 = row - half, row - half + lw
-            if y0 < 0 or y1 > h:
-                continue
-            x_mid0 = cols - half
-            x_mid1 = x_mid0 + lw
-            x_l0 = x_mid0 - lw
-            x_r1 = x_mid1 + lw
-            ok = (x_l0 >= 0) & (x_r1 <= w)
-            if not ok.any():
-                continue
-            area = lw * lw
-            mid_l = rect_sum(it_l, y0, y1, np.where(ok, x_mid0, 0), np.where(ok, x_mid1, 0))
-            side_l = (rect_sum(it_l, y0, y1, np.where(ok, x_l0, 0), np.where(ok, x_mid0, 0))
-                      + rect_sum(it_l, y0, y1, np.where(ok, x_mid1, 0), np.where(ok, x_r1, 0)))
-            mid_g = rect_sum(it_g, y0, y1, np.where(ok, x_mid0, 0), np.where(ok, x_mid1, 0))
-            side_g = (rect_sum(it_g, y0, y1, np.where(ok, x_l0, 0), np.where(ok, x_mid0, 0))
-                      + rect_sum(it_g, y0, y1, np.where(ok, x_mid1, 0), np.where(ok, x_r1, 0)))
+            boxes = [(ys[0], ys[1], xs[k], xs[k + 1]) for k in range(3)]
         else:
-            # window slides along y: [above][mid][below] stacked, lw tall, lw wide
-            y_mid0 = row - half
-            y_mid1 = y_mid0 + lw
-            y_a0 = y_mid0 - lw
-            y_b1 = y_mid1 + lw
-            if y_a0 < 0 or y_b1 > h:
-                continue
-            x0 = cols - half
-            x1 = x0 + lw
-            ok = (x0 >= 0) & (x1 <= w)
-            if not ok.any():
-                continue
-            area = lw * lw
-            xs0 = np.where(ok, x0, 0)
-            xs1 = np.where(ok, x1, 0)
-            mid_l = rect_sum(it_l, y_mid0, y_mid1, xs0, xs1)
-            side_l = (rect_sum(it_l, y_a0, y_mid0, xs0, xs1)
-                      + rect_sum(it_l, y_mid1, y_b1, xs0, xs1))
-            mid_g = rect_sum(it_g, y_mid0, y_mid1, xs0, xs1)
-            side_g = (rect_sum(it_g, y_a0, y_mid0, xs0, xs1)
-                      + rect_sum(it_g, y_mid1, y_b1, xs0, xs1))
+            boxes = [(ys[k], ys[k + 1], xs[0], xs[1]) for k in range(3)]
+        (side0_l, mid_l, side1_l), (side0_g, mid_g, side1_g) = (
+            [rect_sum(table, *box) for box in boxes] for table in tables)
+        side_l = side0_l + side1_l
+        side_g = side0_g + side1_g
+        area = lw * lw
         score = (luma_weight * (mid_l / area - side_l / (2 * area))
                  + green_weight * (side_g / (2 * area) - mid_g / area))
-        values[i] = np.where(ok, np.maximum(score, 0.0), 0.0)
+        values[i, j0:j1 + 1] = np.maximum(score, 0.0)
     return Heatmap(values=values, decimation=decimation, direction=direction)
 
 

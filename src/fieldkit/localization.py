@@ -59,14 +59,20 @@ class RobotObservation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RobotObservation":
-        kind = d["kind"]
-        if kind == LINE:
-            return cls(kind=LINE, distance=float(d["distance"]),
-                       direction=float(d["direction"]))
-        pos = (float(d["position"][0]), float(d["position"][1]))
-        if kind == CORNER:
-            return cls(kind=CORNER, position=pos, orientation=float(d["orientation"]))
-        return cls(kind=POINT, position=pos)
+        try:
+            kind = d["kind"]
+            if kind == LINE:
+                return cls(kind=LINE, distance=float(d["distance"]),
+                           direction=float(d["direction"]))
+            x, y = d["position"]
+            pos = (float(x), float(y))
+            if kind == CORNER:
+                return cls(kind=CORNER, position=pos, orientation=float(d["orientation"]))
+            return cls(kind=kind, position=pos)  # __post_init__ rejects an unknown kind
+        except KeyError as exc:
+            raise InputError(f"observation missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed observation {d!r}: {exc}") from exc
 
 
 def line_observation(distance: float, direction: float) -> RobotObservation:

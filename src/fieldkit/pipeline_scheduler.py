@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from .errors import CycleError, DuplicateProducer, FilterError, InputError, UnknownSlot
@@ -25,6 +26,9 @@ class _Empty:
 
 
 EMPTY = _Empty()
+
+# RunContext.log keeps the latest records only, so memory stays flat over long runs
+LOG_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -169,16 +173,31 @@ class RunContext:
 
     Slot payloads must be treated as immutable once published for a frame;
     skipped filters leave their previous outputs (EMPTY before first run).
+    The log holds the latest LOG_LIMIT execution records. The worker pool
+    is created on the first parallel batch and reused until close().
     """
 
     store: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
     max_workers: int | None = None
     serial: bool = False
-    log: list = field(default_factory=list)
+    log: deque = field(default_factory=lambda: deque(maxlen=LOG_LIMIT), init=False)
+    _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False)
 
     def reset_for(self, spec: PipelineSpec) -> None:
         self.store = {slot: EMPTY for f in spec.filters for slot in f.outputs}
+
+    def pool(self) -> ThreadPoolExecutor:
+        """The worker pool of the parallel batches, created on first use."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.max_workers or os.cpu_count() or 1)
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the worker pool down and wait for its threads to exit."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
 
 def run_frame(plan: BatchPlan, registry: dict, frame_index: int,
@@ -233,20 +252,20 @@ def run_frame(plan: BatchPlan, registry: dict, frame_index: int,
                 except Exception as exc:
                     raise FilterError(name, exc) from exc
         else:
-            workers = context.max_workers or os.cpu_count() or 1
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {name: pool.submit(execute, name, batch_index) for name in due}
-                error = None
-                for name in due:  # deterministic blame order
-                    try:
-                        results[name] = futures[name].result()
-                    except InputError:
-                        raise
-                    except Exception as exc:
-                        if error is None:
-                            error = FilterError(name, exc)
-                if error is not None:
-                    raise error
+            pool = context.pool()
+            futures = {name: pool.submit(execute, name, batch_index) for name in due}
+            wait(futures.values())  # the whole batch ends before it publishes or raises
+            error = None
+            for name in due:  # deterministic blame order
+                try:
+                    results[name] = futures[name].result()
+                except InputError:
+                    raise
+                except Exception as exc:
+                    if error is None:
+                        error = FilterError(name, exc)
+            if error is not None:
+                raise error
         # publish after the whole batch completes
         for name, result in results.items():
             store.update(result)

@@ -154,6 +154,21 @@ def test_gen_trajectory_then_localize(tmp_path):
     assert set(last) == {"step", "estimate", "spread", "mode"}
 
 
+@pytest.mark.parametrize("step", [
+    {"odometry": [0, 0, 0], "observations": [{"kind": "line"}]},
+    {"odometry": [0, 0, 0], "observations": [{"kind": "corner", "position": [1.0],
+                                              "orientation": 0.0}]},
+    {"observations": []},
+    {"odometry": [0, 0, 0]},
+    {"odometry": [0, 0], "observations": []},
+    {"odometry": [0, 0, 0], "observations": [{"kind": "foo", "position": [1, 2]}]},
+])
+def test_localize_malformed_step_exit_code(tmp_path, step):
+    traj = tmp_path / "traj.json"
+    traj.write_text(json.dumps({"steps": [step]}))
+    assert run_cli("localize", traj, "--particles", 50) == 2
+
+
 def test_stereo_subcommand(tmp_path):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({

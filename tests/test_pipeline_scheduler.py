@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from fieldkit.errors import CycleError, DuplicateProducer, FilterError, InputError, UnknownSlot
 from fieldkit.pipeline_scheduler import (
     EMPTY,
+    LOG_LIMIT,
     RunContext,
     compute_batches,
     parse_pipeline,
@@ -293,3 +295,67 @@ def test_output_contract_enforced():
     ctx.sources = {"frame": 0}
     with pytest.raises(InputError):
         run_frame(plan, {"bad": lambda inputs: {"x": 1}}, 0, ctx)
+
+
+def test_parallel_frames_reuse_one_pool():
+    spec = parse_pipeline(doc([{"name": f"f{i}", "inputs": ["frame"], "outputs": [f"o{i}"]}
+                               for i in range(3)]))
+    plan = compute_batches(spec)
+    threads = set()
+
+    def record(outputs):
+        def fn(inputs):
+            threads.add(threading.current_thread().name)
+            return {o: 1 for o in outputs}
+        return fn
+
+    registry = {f.name: record(f.outputs) for f in spec.filters}
+    # compare thread sets, not counts: pools of earlier tests may still be exiting
+    before = set(threading.enumerate())
+    ctx = RunContext(max_workers=2)
+    try:
+        for k in range(100):
+            ctx.sources = {"frame": k}
+            run_frame(plan, registry, k, ctx)
+            assert len(set(threading.enumerate()) - before) <= 2
+    finally:
+        ctx.close()
+    assert len(threads) <= 2
+    assert not set(threading.enumerate()) - before
+
+
+def test_batch_finishes_before_raising():
+    spec = parse_pipeline(doc([
+        {"name": "a_bad", "inputs": ["frame"], "outputs": ["x"]},
+        {"name": "b_slow", "inputs": ["frame"], "outputs": ["y"]},
+    ]))
+    plan = compute_batches(spec)
+    done = []
+
+    def slow(inputs):
+        time.sleep(0.1)
+        done.append(1)
+        return {"y": 1}
+
+    ctx = RunContext(max_workers=2)
+    ctx.sources = {"frame": 0}
+    try:
+        with pytest.raises(InputError):  # a_bad breaks the output contract
+            run_frame(plan, {"a_bad": lambda inputs: {}, "b_slow": slow}, 0, ctx)
+        assert done == [1]
+    finally:
+        ctx.close()
+
+
+def test_log_stays_bounded_over_long_runs():
+    spec = parse_pipeline(doc([
+        {"name": "a", "inputs": ["frame"], "outputs": ["x"]},
+        {"name": "b", "inputs": ["x"], "outputs": ["y"]},
+    ]))
+    plan = compute_batches(spec)
+    registry = {f.name: passthrough(f.outputs) for f in spec.filters}
+    ctx = RunContext(serial=True)
+    run_frames(plan, registry, 10_000, ctx, frame_sources=lambda k: {"frame": k})
+    assert len(ctx.log) == LOG_LIMIT
+    assert [(r.filter_name, r.frame_index) for r in list(ctx.log)[-2:]] == \
+        [("a", 9999), ("b", 9999)]
