@@ -6,10 +6,18 @@ Conventions: camera frame is the usual computer-vision one (x right,
 y down, z forward / optical axis). At zero roll/pitch/yaw the camera looks
 along field +x with image up toward field +z; positive pitch tilts the
 view downward. Pixel centers sit at integer coordinates.
+
+Nearest-neighbour birdviews read through an index map: one flat source
+pixel index per output pixel, a pure function of the extrinsics, the
+intrinsics, the birdview spec and the source shape. A least-recently-used
+cache keeps the last INDEX_CACHE_SIZE maps (read-only int32, 4 bytes per
+output pixel), so a camera fixed on the body pays the projection once and
+then one gather per channel each frame; a moving head pays it every frame.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +25,11 @@ import numpy as np
 
 from .errors import BehindCamera, HorizonRay, InputError
 from .raster import Raster
+
+# index maps kept by _nearest_index_map, 1.2 MB each at the default
+# 640x480 birdview: a fixed camera plus one other geometry. On a moving head
+# every map is a miss, and more held maps raised peak memory there.
+INDEX_CACHE_SIZE = 2
 
 # camera axes in the field frame at zero roll/pitch/yaw (columns: x, y, z)
 _M0 = np.array([
@@ -206,23 +219,29 @@ def unproject_to_ground(px, ex: CameraExtrinsics, intr: CameraIntrinsics) -> tup
     return (ex.position[0] + t * d[0], ex.position[1] + t * d[1])
 
 
-def _sample_nearest(r: Raster, u, v, valid, shape) -> Raster:
-    """Nearest-pixel lookup of both channels; points off the image read 0.
+def _nearest_index(u, v, valid, src_shape) -> np.ndarray:
+    """Flat index of each point's nearest source pixel, as int32; points off
+    the image get h*w, one past the last pixel.
 
-    Rounds and masks once for both channels, and casts only the in-image
-    indices, so far-off or non-finite coordinates never reach the cast.
+    Rounds and masks once, and casts only the in-image indices, so far-off
+    or non-finite coordinates never reach the cast.
     """
-    h, w = r.luma.shape
+    h, w = src_shape
     ur = np.rint(u)
     vr = np.rint(v)
     ok = valid & (ur >= 0) & (ur < w) & (vr >= 0) & (vr < h)
-    vi = vr[ok].astype(np.int64)
-    ui = ur[ok].astype(np.int64)
+    index = np.full(u.shape, h * w, dtype=np.int32)
+    index[ok] = (vr[ok] * w + ur[ok]).astype(np.int32)
+    return index
 
+
+def _gather_nearest(r: Raster, index: np.ndarray) -> Raster:
+    """Both channels read through a flat index map; index h*w reads 0.
+
+    Fancy indexing copies, so the output never aliases the index map.
+    """
     def gather(channel):
-        out = np.zeros(u.shape, dtype=channel.dtype)
-        out[ok] = channel[vi, ui]
-        return out.reshape(shape)
+        return np.concatenate([channel.ravel(), np.zeros(1, channel.dtype)])[index]
 
     return Raster(gather(r.luma), gather(r.green))
 
@@ -246,21 +265,46 @@ def _sample_bilinear(channel: np.ndarray, u, v, valid):
     return out
 
 
+def _birdview_projection(ex: CameraExtrinsics, intr: CameraIntrinsics, spec: BirdviewSpec):
+    """Project the field point under every birdview pixel center, row-major:
+    (u, v, valid) as from _project_arrays."""
+    fx, fy = spec.pixel_to_field(np.arange(spec.out_width)[None, :],
+                                 np.arange(spec.out_height)[:, None])
+    pts = np.empty((fx.size, 3))
+    pts[:, 0] = fx.ravel()
+    pts[:, 1] = fy.ravel()
+    pts[:, 2] = 0.0
+    return _project_arrays(pts, ex, intr)
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
+def _nearest_index_map(ex: CameraExtrinsics, intr: CameraIntrinsics, spec: BirdviewSpec,
+                       src_shape: tuple[int, int]) -> np.ndarray:
+    """Read-only (out_height, out_width) int32 map from birdview pixel to the
+    flat index of its nearest source pixel, h*w where it sees nothing.
+
+    A pure function of the geometry and the source shape, so it is cached:
+    every caller shares the one array, which is why it is not writeable.
+    """
+    u, v, valid = _birdview_projection(ex, intr, spec)
+    index = _nearest_index(u, v, valid, src_shape).reshape(spec.out_height, spec.out_width)
+    index.flags.writeable = False
+    return index
+
+
 def birdview_transform(r: Raster, ex: CameraExtrinsics, intr: CameraIntrinsics,
                        spec: BirdviewSpec, bilinear: bool = False) -> Raster:
     """Resample the camera image into a virtual top-down view of the ground.
 
     Each output pixel is a known field point; it is filled by projecting that
     point into the source image, so no intermediate rectified image is ever
-    materialized and the work scales with the (small) output size.
+    materialized and the work scales with the (small) output size. Nearest
+    sampling reads through the cached index map of this geometry.
     """
-    rows, cols = np.mgrid[0:spec.out_height, 0:spec.out_width]
-    fx, fy = spec.pixel_to_field(cols.ravel(), rows.ravel())
-    pts = np.column_stack([fx, fy, np.zeros(fx.size)])
-    u, v, valid = _project_arrays(pts, ex, intr)
-    shape = (spec.out_height, spec.out_width)
     if not bilinear:
-        return _sample_nearest(r, u, v, valid, shape)
+        return _gather_nearest(r, _nearest_index_map(ex, intr, spec, r.luma.shape))
+    u, v, valid = _birdview_projection(ex, intr, spec)
+    shape = (spec.out_height, spec.out_width)
     return Raster(_sample_bilinear(r.luma, u, v, valid).reshape(shape),
                   _sample_bilinear(r.green, u, v, valid).reshape(shape))
 
@@ -280,8 +324,8 @@ def emulate_wide_angle(r: Raster, intr: CameraIntrinsics, k1: float, k2: float) 
     xn, yn = _undistort_normalized(xd, yd, distorted)
     u = intr.fx * xn + intr.cx
     v = intr.fy * yn + intr.cy
-    valid = np.ones(u.shape, dtype=bool)
-    return _sample_nearest(r, u, v, valid, (r.height, r.width))
+    index = _nearest_index(u, v, True, r.luma.shape).reshape(r.luma.shape)
+    return _gather_nearest(r, index)
 
 
 def fov_mask(intr: CameraIntrinsics, fov_limit: float) -> np.ndarray:

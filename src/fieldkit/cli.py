@@ -133,6 +133,27 @@ def _scene_from_doc(doc, seed, args=None):
                        seed=seed if seed is not None else int(doc.get("seed", 0)))
 
 
+def _noise_from_doc(doc, args):
+    """Sensor model and odometry noise of a trajectory or scene document.
+
+    Sigmas come from the config's "sigmas", overridden by the document's;
+    "odom_noise" must be three finite non-negative numbers.
+    """
+    try:
+        sig = {**_config(args).get("sigmas", {}), **doc.get("sigmas", {})}
+        sm = SensorModel(sigma_d=float(sig.get("sigma_d", 0.15)),
+                         sigma_p=float(sig.get("sigma_p", 0.2)),
+                         sigma_theta=float(sig.get("sigma_theta", 0.15)),
+                         max_range=float(sig.get("max_range", 4.0)))
+        raw = doc.get("odom_noise", (0.02, 0.02, 0.02))
+        odo = tuple(float(v) for v in raw) if isinstance(raw, (list, tuple)) else ()
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad sigmas or odom_noise: {exc}") from exc
+    if len(odo) != 3 or not all(math.isfinite(v) and v >= 0 for v in odo):
+        raise InputError("odom_noise must be three finite non-negative numbers")
+    return sm, odo
+
+
 # --- subcommands --------------------------------------------------------------
 
 def cmd_plan(args):
@@ -255,12 +276,7 @@ def cmd_mask(args):
 def cmd_localize(args):
     doc = _load_json(args.trajectory)
     field = _field_from_doc(doc.get("field"), args)
-    sig = {**_config(args).get("sigmas", {}), **doc.get("sigmas", {})}
-    sm = SensorModel(sigma_d=float(sig.get("sigma_d", 0.15)),
-                     sigma_p=float(sig.get("sigma_p", 0.2)),
-                     sigma_theta=float(sig.get("sigma_theta", 0.15)),
-                     max_range=float(sig.get("max_range", 4.0)))
-    odo = doc.get("odom_noise", (0.02, 0.02, 0.02))
+    sm, odo = _noise_from_doc(doc, args)
     f = MonteCarloFilter(field, n_particles=args.particles, sigmas=sm,
                          seed=args.seed or 0)
     lines = []
@@ -409,13 +425,8 @@ def cmd_render(args):
 def cmd_gen_trajectory(args):
     doc = _load_json(args.scene) if args.scene else {}
     scene = _scene_from_doc(doc, args.seed, args)
-    sig = {**_config(args).get("sigmas", {}), **doc.get("sigmas", {})}
-    sm = SensorModel(sigma_d=float(sig.get("sigma_d", 0.15)),
-                     sigma_p=float(sig.get("sigma_p", 0.2)),
-                     sigma_theta=float(sig.get("sigma_theta", 0.15)),
-                     max_range=float(sig.get("max_range", 4.0)))
-    traj = synth.generate_trajectory(scene, steps=args.steps,
-                                     odom_noise=tuple(doc.get("odom_noise", (0.02, 0.02, 0.02))),
+    sm, odo = _noise_from_doc(doc, args)
+    traj = synth.generate_trajectory(scene, steps=args.steps, odom_noise=odo,
                                      obs_sigmas=sm, seed=args.seed or 0)
     traj["field"] = scene.field.to_dict()
     _dump_json(traj, args.out)

@@ -142,21 +142,28 @@ def _width_map_as_array(width_map, height: int) -> np.ndarray:
 
 
 def line_response_pass(r: Raster, direction: str, width_map, decimation: int,
-                       luma_weight: float = 1.0, green_weight: float = 1.0) -> Heatmap:
+                       luma_weight: float = 1.0, green_weight: float = 1.0, *,
+                       tables=None) -> Heatmap:
     """Three-rectangle sliding-window score: bright middle, dark green sides.
 
     The middle rectangle width follows the expected line width for the image
     row; the side rectangles are the same size and adjacent. Scores clip at 0,
     and sites whose window leaves the image score 0. The site grid is scored
     as one box-sum evaluation per distinct line width, on integral images.
+    `tables` is the pair (integral_image(r.luma), integral_image(r.green)),
+    for a caller that runs both passes on one raster; when omitted, the pass
+    builds its own.
     """
     if direction not in (HORIZONTAL, VERTICAL):
         raise InputError(f"unknown pass direction {direction!r}")
     h, w = r.luma.shape
+    if tables is None:
+        tables = (integral_image(r.luma), integral_image(r.green))
+    elif any(t.shape != (h + 1, w + 1) for t in tables):
+        raise InputError("integral images must be one larger than the raster on each axis")
     rows = np.arange(0, h, decimation)
     n_cols = len(range(0, w, decimation))
     row_widths = _width_map_as_array(width_map, h)[rows]
-    tables = (integral_image(r.luma), integral_image(r.green))
     values = np.zeros((len(rows), n_cols))
     for lw in np.unique(row_widths).tolist():
         half = lw // 2
@@ -403,10 +410,11 @@ def detect_lines(r: Raster, width_map, cfg: VisionConfig = VisionConfig()):
     another near 90 degrees.
     """
     rng = np.random.default_rng(cfg.seed)
+    tables = (integral_image(r.luma), integral_image(r.green))
     segments: list[LineSegment] = []
     for direction in (HORIZONTAL, VERTICAL):
         heat = line_response_pass(r, direction, width_map, cfg.decimation,
-                                  cfg.luma_weight, cfg.green_weight)
+                                  cfg.luma_weight, cfg.green_weight, tables=tables)
         pts = nms(heat, cfg.nms_radius, cfg.nms_threshold)
         segments.extend(hough_segments(
             pts, rho=cfg.hough_rho, theta=cfg.hough_theta, votes=cfg.hough_votes,

@@ -110,8 +110,9 @@ class SensorModel:
     def __post_init__(self):
         # zero sigmas are allowed for noise-free generation; the likelihood
         # path rejects them (it divides by every sigma)
-        if min(self.sigma_d, self.sigma_p, self.sigma_theta) < 0:
-            raise InputError("sigmas must be non-negative")
+        if not all(math.isfinite(s) and s >= 0
+                   for s in (self.sigma_d, self.sigma_p, self.sigma_theta)):
+            raise InputError("sigmas must be finite and non-negative")
 
 
 @dataclass

@@ -169,6 +169,31 @@ def test_localize_malformed_step_exit_code(tmp_path, step):
     assert run_cli("localize", traj, "--particles", 50) == 2
 
 
+@pytest.mark.parametrize("command", ["localize", "gen-trajectory"])
+@pytest.mark.parametrize("noise", [
+    {"sigmas": {"sigma_d": "x"}},
+    {"sigmas": {"sigma_p": [0.2]}},
+    {"sigmas": {"sigma_theta": -0.1}},
+    {"sigmas": {"sigma_d": float("nan")}},
+    {"sigmas": [0.1, 0.2]},
+    {"odom_noise": [0.1]},
+    {"odom_noise": [0.1, 0.1, 0.1, 0.1]},
+    {"odom_noise": [0.1, -0.1, 0.1]},
+    {"odom_noise": [0.1, float("nan"), 0.1]},
+    {"odom_noise": [0.1, float("inf"), 0.1]},
+    {"odom_noise": [0.1, "y", 0.1]},
+    {"odom_noise": "123"},
+    {"odom_noise": 0.1},
+])
+def test_malformed_noise_exit_code(tmp_path, command, noise):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"steps": [{"odometry": [0.1, 0.0, 0.0], "observations": []}],
+                               **noise}))
+    argv = [command, doc, "--out", tmp_path / "out.json"]
+    assert run_cli(*argv, *(["--particles", 50] if command == "localize" else
+                            ["--steps", 2])) == 2
+
+
 def test_stereo_subcommand(tmp_path):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fieldkit import line_vision
 from fieldkit.birdview import BirdviewSpec
+from fieldkit.errors import InputError
 from fieldkit.field_model import FieldSpec
 from fieldkit.line_vision import (
     HORIZONTAL,
@@ -93,6 +95,23 @@ def test_vertical_pass_finds_horizontal_stripe():
     heat = line_response_pass(Raster(luma, green), VERTICAL, width_map=5, decimation=1)
     rows = heat.values.argmax(axis=0)
     assert np.all(np.abs(rows[10:-10] - 32) <= 1)
+
+
+def test_pass_reads_the_tables_it_is_given():
+    r = stripe_raster(47, width=5)
+    tables = (integral_image(r.luma), integral_image(r.green))
+    for direction in (HORIZONTAL, VERTICAL):
+        own = line_response_pass(r, direction, width_map=5, decimation=2)
+        shared = line_response_pass(r, direction, width_map=5, decimation=2, tables=tables)
+        assert np.array_equal(own.values, shared.values)
+    # tables of another raster are read as given: here, an all-white one
+    white = flat_raster(255, 0, h=64, w=96)
+    heat = line_response_pass(r, HORIZONTAL, width_map=5, decimation=1,
+                              tables=(integral_image(white.luma), integral_image(white.green)))
+    assert not heat.values.any()
+    with pytest.raises(InputError):
+        line_response_pass(r, HORIZONTAL, width_map=5, decimation=1,
+                           tables=(tables[0][:-1], tables[1]))
 
 
 # --- NMS ---------------------------------------------------------------------
@@ -311,6 +330,21 @@ def test_detect_lines_blank_image():
     r = flat_raster(GRASS_LUMA, GRASS_GREEN, h=120, w=160)
     lines, corners = detect_lines(r, width_map=4, cfg=VisionConfig(decimation=2))
     assert lines == [] and corners == []
+
+
+def test_detect_lines_builds_each_integral_image_once(monkeypatch):
+    calls = []
+
+    def counted(channel):
+        calls.append(channel.shape)
+        return integral_image(channel)
+
+    monkeypatch.setattr(line_vision, "integral_image", counted)
+    spec, bspec, cfg, width_px = birdview_setup(view_center=(0.0, 2.0))
+    img = render_birdview(Scene(field=spec, noise_sigma=0.0), bspec)
+    lines, _ = detect_lines(img, width_map=round(width_px), cfg=cfg)
+    assert lines  # both passes ran on the shared tables
+    assert calls == [img.luma.shape, img.green.shape]
 
 
 def test_detect_lines_on_rendered_birdview():
