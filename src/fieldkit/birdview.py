@@ -88,9 +88,6 @@ class CameraIntrinsics:
             r = r_new
         return r if math.isfinite(r) else None
 
-    def distort_factor(self, r2):
-        return 1.0 + self.k1 * r2 + self.k2 * r2 * r2
-
 
 @dataclass(frozen=True)
 class CameraExtrinsics:
@@ -102,6 +99,8 @@ class CameraExtrinsics:
     def __post_init__(self):
         object.__setattr__(self, "position", tuple(float(v) for v in self.position))
         object.__setattr__(self, "rpy", tuple(float(v) for v in self.rpy))
+        if len(self.position) != 3 or len(self.rpy) != 3:
+            raise InputError("position and rpy must have three values each")
         if self.position[2] <= 0:
             raise InputError("camera must sit above the field plane")
 
@@ -128,6 +127,8 @@ class BirdviewSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "view_center", tuple(float(v) for v in self.view_center))
+        if len(self.view_center) != 2:
+            raise InputError("view_center must have two values")
         if self.out_width <= 0 or self.out_height <= 0:
             raise InputError("output dimensions must be positive")
         if self.meters_per_pixel <= 0:

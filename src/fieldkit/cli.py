@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error, 3 algorithm error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -30,24 +31,28 @@ from .errors import AlgorithmError, InputError
 from .field_model import FieldPose, FieldSpec, load_default_field, pose_to_cell
 from .line_vision import VisionConfig, detect_lines
 from .localization import MonteCarloFilter, RobotObservation, SensorModel
-from .pipeline_scheduler import RunContext, compute_batches, parse_pipeline, run_frame
+from .pipeline_scheduler import RunContext, compute_batches, parse_pipeline, run_frames
 from .raster import read_raster, write_pgm, write_ppm
-from .stereo_obstacles import StereoParams, StereoRig, detect_obstacles
+from .stereo_obstacles import StereoParams, StereoRig, block_match, clusters_to_field
+from .stereo_obstacles import detect_obstacles, disparity_to_points
 
 
-def _dump_json(doc, out_path):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write_text(text, out_path):
     if out_path:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _dump_json(doc, out_path):
+    _write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)
+
+
 def _read_text(path):
     try:
         return Path(path).read_text()
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
+    except (FileNotFoundError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_json(path):
@@ -61,15 +66,18 @@ def _load_json(path):
     return doc
 
 
-def _positive_int(text):
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _number(kind, low=-math.inf, high=math.inf):
+    """argparse type: a finite int or float (`kind`) between low and high."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(f"must be finite and in [{low}, {high}], got {text}")
+        return value
+
+    return parse
 
 
 def _config(args):
@@ -81,56 +89,49 @@ def _config(args):
     return args._config_doc
 
 
-def _field_from_doc(doc, args=None):
-    if not doc and args is not None:
+def _field_from_doc(doc, args):
+    if not doc:
         doc = _config(args).get("field")
     if not doc or doc in ("default",):
         return load_default_field()
     return FieldSpec.from_dict(doc)
 
 
-def _intrinsics_from_doc(doc):
+def _build(cls, doc, what, **given):
+    """A frozen dataclass from a JSON object whose keys are its field names.
+
+    float and int fields are converted by their annotation, and the class's
+    own checks run as usual. `given` holds the values the command owns; they
+    win over the document's. An absent section (None) is an empty one. An
+    unknown key, or a value that conversion or the class rejects, is an
+    InputError.
+    """
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    convert = {"float": float, "int": int}  # annotations are strings in this package
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise InputError(f"{what}: unknown keys {unknown}; known: {sorted(types)}")
     try:
-        return CameraIntrinsics(
-            fx=float(doc["fx"]), fy=float(doc["fy"]),
-            cx=float(doc["cx"]), cy=float(doc["cy"]),
-            width=int(doc["width"]), height=int(doc["height"]),
-            k1=float(doc.get("k1", 0.0)), k2=float(doc.get("k2", 0.0)))
-    except KeyError as exc:
-        raise InputError(f"intrinsics missing {exc}") from exc
+        values = {k: convert.get(types[k], lambda v: v)(v)
+                  for k, v in doc.items() if k not in given}
+        return cls(**values, **given)
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
 
 
-def _extrinsics_from_doc(doc):
-    try:
-        return CameraExtrinsics(position=tuple(doc["position"]),
-                                rpy=tuple(doc.get("rpy", (0.0, 0.0, 0.0))))
-    except KeyError as exc:
-        raise InputError(f"extrinsics missing {exc}") from exc
-
-
-def _birdview_from_doc(doc):
-    doc = doc or {}
-    return BirdviewSpec(
-        out_width=int(doc.get("out_width", 640)),
-        out_height=int(doc.get("out_height", 480)),
-        meters_per_pixel=float(doc.get("meters_per_pixel", 0.01)),
-        view_center=tuple(doc.get("view_center", (0.0, 0.0))),
-        view_yaw=float(doc.get("view_yaw", 0.0)))
-
-
-def _camera_from_doc(doc):
-    if "intrinsics" not in doc or "extrinsics" not in doc:
-        raise InputError("camera document needs 'intrinsics' and 'extrinsics'")
-    return _intrinsics_from_doc(doc["intrinsics"]), _extrinsics_from_doc(doc["extrinsics"])
-
-
-def _scene_from_doc(doc, seed, args=None):
+def _scene_from_doc(doc, seed, args):
     field = _field_from_doc(doc.get("field"), args)
-    robot = FieldPose(*doc.get("robot", (0.0, 0.0, 0.0)))
-    obstacles = tuple(synth.Obstacle(*ob) for ob in doc.get("obstacles", ()))
-    return synth.Scene(field=field, robot=robot, obstacles=obstacles,
-                       noise_sigma=float(doc.get("noise_sigma", 0.0)),
-                       seed=seed if seed is not None else int(doc.get("seed", 0)))
+    try:
+        robot = FieldPose(*map(float, doc.get("robot", (0.0, 0.0, 0.0))))
+        obstacles = tuple(synth.Obstacle(*map(float, ob)) for ob in doc.get("obstacles", ()))
+        return synth.Scene(field=field, robot=robot, obstacles=obstacles,
+                           noise_sigma=float(doc.get("noise_sigma", 0.0)),
+                           seed=seed if seed is not None else int(doc.get("seed", 0)))
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise InputError(f"bad scene: {exc}") from exc
 
 
 def _noise_from_doc(doc, args):
@@ -161,9 +162,9 @@ def cmd_plan(args):
     field = _field_from_doc(doc.get("field"), args)
     try:
         ctx = PlanContext(
-            robot_pos=FieldPose(*doc["robot"]),
+            robot_pos=FieldPose(*map(float, doc["robot"])),
             ball_pos=tuple(doc["ball"]),
-            teammates=tuple(FieldPose(*t) for t in doc.get("teammates", ())),
+            teammates=tuple(FieldPose(*map(float, t)) for t in doc.get("teammates", ())),
             opponents=tuple(tuple(o) for o in doc.get("opponents", ())),
             ball_speed=float(doc.get("ball_speed", 2.0)),
             walk_speed=float(doc.get("walk_speed", 0.2)),
@@ -172,15 +173,12 @@ def cmd_plan(args):
             kick_lengths=tuple(doc.get("kick_lengths", (0.5, 1.0, 2.0))),
             goal_center=tuple(doc.get("goal", field.goal_center_right)),
         )
-    except KeyError as exc:
-        raise InputError(f"scene missing {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InputError(f"bad scene value: {exc}") from exc
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InputError(f"missing or bad scene value: {exc}") from exc
     plan = plan_ball_path(ctx, field, zero_heuristic=args.zero_heuristic)
-    cells = [[c.row, c.col] for c in (pose_to_cell(w, field) for w in plan.waypoints)]
     _dump_json({
         "waypoints": [[x, y] for x, y in plan.waypoints],
-        "cells": cells,
+        "cells": [[c.row, c.col] for c in (pose_to_cell(w, field) for w in plan.waypoints)],
         "total_cost": plan.total_cost,
         "expanded_nodes": plan.expanded_nodes,
     }, args.out)
@@ -193,59 +191,56 @@ def _write_plan_overlay(path, field, ctx, plan):
     """Top-down grid image with the planned kick path drawn over the field."""
     bspec = BirdviewSpec(out_width=int(field.n_cols * 8), out_height=int(field.n_rows * 8),
                          meters_per_pixel=field.cell_size / 8)
-    img = synth.render_birdview(synth.Scene(field=field), bspec)
-    rgb = img.to_rgb()
+    rgb = synth.render_birdview(synth.Scene(field=field), bspec).to_rgb()
     for a, b in zip(plan.waypoints, plan.waypoints[1:]):
-        pa = bspec.field_to_pixel(*a)
-        pb = bspec.field_to_pixel(*b)
+        pa, pb = bspec.field_to_pixel(*a), bspec.field_to_pixel(*b)
         n = int(max(abs(pb[0] - pa[0]), abs(pb[1] - pa[1]))) + 1
-        for t in np.linspace(0, 1, 2 * n):
-            u = round(float(pa[0] + t * (pb[0] - pa[0])))
-            v = round(float(pa[1] + t * (pb[1] - pa[1])))
-            if 0 <= v < rgb.shape[0] and 0 <= u < rgb.shape[1]:
-                rgb[v, u] = (255, 40, 40)
+        _draw_segment(rgb, pa, pb, 2 * n, (255, 40, 40))
     for o in ctx.opponents:
-        u, v = bspec.field_to_pixel(*o)
-        rgb[max(0, round(v) - 2):round(v) + 3, max(0, round(u) - 2):round(u) + 3] = (40, 40, 255)
+        _draw_marker(rgb, *bspec.field_to_pixel(*o), (40, 40, 255))
     write_ppm(path, rgb)
+
+
+def _draw_segment(rgb, p0, p1, samples, color):
+    """Paint `samples` evenly spaced points from p0 to p1 (pixel coordinates)."""
+    for t in np.linspace(0, 1, samples):
+        u = round(float(p0[0] + t * (p1[0] - p0[0])))
+        v = round(float(p0[1] + t * (p1[1] - p0[1])))
+        if 0 <= v < rgb.shape[0] and 0 <= u < rgb.shape[1]:
+            rgb[v, u] = color
+
+
+def _draw_marker(rgb, u, v, color):
+    """Paint a 5x5 square centered on pixel (u, v), clipped at the top-left edges."""
+    u, v = round(u), round(v)
+    rgb[max(0, v - 2):v + 3, max(0, u - 2):u + 3] = color
 
 
 def cmd_detect_lines(args):
     raster = read_raster(args.image)
-    overrides = dict(_config(args).get("vision", {}))
-    overrides.update(seed=args.seed or 0, decimation=args.decimation,
-                     min_length=args.min_length)
-    try:
-        cfg = VisionConfig(**overrides)
-    except TypeError as exc:
-        raise InputError(f"bad vision config: {exc}") from exc
+    cfg = _build(VisionConfig, _config(args).get("vision"), "vision config",
+                 seed=args.seed or 0, decimation=args.decimation, min_length=args.min_length)
     lines, corners = detect_lines(raster, width_map=args.line_width_px, cfg=cfg)
     _dump_json({
-        "lines": [{"p0": list(s.p0), "p1": list(s.p1), "length": s.length}
-                  for s in lines],
+        "lines": [{"p0": list(s.p0), "p1": list(s.p1), "length": s.length} for s in lines],
         "corners": [{"position": list(c.position), "dir_a": list(c.dir_a),
                      "dir_b": list(c.dir_b)} for c in corners],
     }, args.out)
     if args.overlay:
         rgb = raster.to_rgb()
         for s in lines:
-            n = int(s.length) + 1
-            for t in np.linspace(0, 1, 2 * n):
-                u = round(s.p0[0] + t * (s.p1[0] - s.p0[0]))
-                v = round(s.p0[1] + t * (s.p1[1] - s.p0[1]))
-                if 0 <= v < rgb.shape[0] and 0 <= u < rgb.shape[1]:
-                    rgb[v, u] = (255, 255, 0)
+            _draw_segment(rgb, s.p0, s.p1, 2 * (int(s.length) + 1), (255, 255, 0))
         for c in corners:
-            u, v = round(c.position[0]), round(c.position[1])
-            rgb[max(0, v - 2):v + 3, max(0, u - 2):u + 3] = (255, 80, 0)
+            _draw_marker(rgb, *c.position, (255, 80, 0))
         write_ppm(args.overlay, rgb)
     return 0
 
 
 def cmd_birdview(args):
     doc = _load_json(args.camera)
-    intr, ex = _camera_from_doc(doc)
-    bspec = _birdview_from_doc(doc.get("birdview"))
+    intr = _build(CameraIntrinsics, doc.get("intrinsics"), "intrinsics")
+    ex = _build(CameraExtrinsics, doc.get("extrinsics"), "extrinsics")
+    bspec = _build(BirdviewSpec, doc.get("birdview"), "birdview")
     raster = read_raster(args.image)
     out = birdview_transform(raster, ex, intr, bspec, bilinear=args.bilinear)
     write_ppm(args.out or "birdview.ppm", out.to_rgb())
@@ -253,23 +248,19 @@ def cmd_birdview(args):
 
 
 def cmd_distort(args):
-    doc = _load_json(args.camera)
-    intr = _intrinsics_from_doc(doc["intrinsics"])
+    intr = _build(CameraIntrinsics, _load_json(args.camera).get("intrinsics"), "intrinsics")
     raster = read_raster(args.image)
     out = emulate_wide_angle(raster, intr, args.k1, args.k2)
     if args.mask_fov is not None:
-        distorted = CameraIntrinsics(intr.fx, intr.fy, intr.cx, intr.cy,
-                                     intr.width, intr.height, args.k1, args.k2)
+        distorted = dataclasses.replace(intr, k1=args.k1, k2=args.k2)
         out = apply_mask(out, fov_mask(distorted, math.radians(args.mask_fov)))
     write_ppm(args.out or "distorted.ppm", out.to_rgb())
     return 0
 
 
 def cmd_mask(args):
-    doc = _load_json(args.camera)
-    intr = _intrinsics_from_doc(doc["intrinsics"])
-    mask = fov_mask(intr, math.radians(args.fov_deg))
-    write_pgm(args.out or "mask.pgm", mask)
+    intr = _build(CameraIntrinsics, _load_json(args.camera).get("intrinsics"), "intrinsics")
+    write_pgm(args.out or "mask.pgm", fov_mask(intr, math.radians(args.fov_deg)))
     return 0
 
 
@@ -277,10 +268,12 @@ def cmd_localize(args):
     doc = _load_json(args.trajectory)
     field = _field_from_doc(doc.get("field"), args)
     sm, odo = _noise_from_doc(doc, args)
-    f = MonteCarloFilter(field, n_particles=args.particles, sigmas=sm,
-                         seed=args.seed or 0)
+    f = MonteCarloFilter(field, n_particles=args.particles, sigmas=sm, seed=args.seed or 0)
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list):
+        raise InputError("'steps' must be a list")
     lines = []
-    for k, step in enumerate(doc.get("steps", ())):
+    for k, step in enumerate(steps):
         try:
             odometry = [float(v) for v in step["odometry"]]
             obs = [RobotObservation.from_dict(o) for o in step["observations"]]
@@ -297,27 +290,19 @@ def cmd_localize(args):
             "spread": [sxy, sth],
             "mode": [mode.x, mode.y, mode.theta],
         }, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_stereo(args):
-    left = read_raster(args.left)
-    right = read_raster(args.right)
+    left, right = read_raster(args.left), read_raster(args.right)
     doc = _load_json(args.rig)
-    rig = StereoRig(baseline=float(doc.get("baseline", 0.062)),
-                    focal=float(doc["focal"]), cx=float(doc["cx"]), cy=float(doc["cy"]),
-                    width=int(doc["width"]), height=int(doc["height"]))
-    params = StereoParams(seed=args.seed or 0,
-                          **{k: v for k, v in doc.get("params", {}).items()})
+    params_doc, ex_doc = doc.pop("params", None), doc.pop("extrinsics", None)
+    rig = _build(StereoRig, doc, "rig")
+    params = _build(StereoParams, params_doc, "stereo params", seed=args.seed or 0)
     plane, clusters = detect_obstacles(left, right, rig, params)
     result = {
-        "plane": {"normal": list(plane.normal), "offset": plane.offset,
-                  "inlier_count": plane.inlier_count},
+        "plane": {"normal": list(plane.normal), "offset": plane.offset, "inlier_count": plane.inlier_count},
         "clusters": [{
             "centroid": list(c.centroid),
             "extent": [list(e) for e in c.extent],
@@ -325,67 +310,46 @@ def cmd_stereo(args):
             "max_protrusion": c.max_protrusion,
         } for c in clusters],
     }
-    if "extrinsics" in doc:
-        from .stereo_obstacles import clusters_to_field
-
-        ex = _extrinsics_from_doc(doc["extrinsics"])
+    if ex_doc is not None:
+        ex = _build(CameraExtrinsics, ex_doc, "extrinsics")
         result["clusters_field"] = [list(p) for p in clusters_to_field(clusters, ex)]
     _dump_json(result, args.out)
     if args.cloud:
-        from .stereo_obstacles import block_match, disparity_to_points
-
         disparity = block_match(left, right, params.window, params.max_disparity)
         pc = disparity_to_points(disparity, rig, params.step)
-        with open(args.cloud, "w") as fh:
-            for x, y, z in pc.points:
-                fh.write(f"{x} {y} {z}\n")
+        _write_text("".join(f"{x} {y} {z}\n" for x, y, z in pc.points), args.cloud)
     return 0
 
 
 def cmd_pipeline_bench(args):
     spec = parse_pipeline(_read_text(args.pipeline))
     plan = compute_batches(spec)
-    sleep_s = args.sleep_ms / 1000.0
+    counts = {}
 
-    def make_filter(f):
+    def sleeper(f):
         def fn(inputs):
-            time.sleep(sleep_s)
+            counts[f.name] += 1
+            time.sleep(args.sleep_ms / 1000.0)
             return {o: None for o in f.outputs}
         return fn
 
-    registry = {f.name: make_filter(f) for f in spec.filters}
-    counts = {f.name: 0 for f in spec.filters}
-
-    def counted(name, fn):
-        def wrapper(inputs):
-            counts[name] += 1
-            return fn(inputs)
-        return wrapper
-
-    registry = {name: counted(name, fn) for name, fn in registry.items()}
+    registry = {f.name: sleeper(f) for f in spec.filters}
 
     def bench(serial):
+        counts.update(dict.fromkeys(registry, 0))
         ctx = RunContext(serial=serial, max_workers=args.workers)
-        times = []
         try:
-            for k in range(args.frames):
-                ctx.sources = {s: k for s in spec.source_slots}
-                t0 = time.perf_counter()
-                run_frame(plan, registry, k, ctx)
-                times.append(time.perf_counter() - t0)
+            return run_frames(plan, registry, args.frames, ctx,
+                              frame_sources=lambda k: {s: k for s in spec.source_slots})
         finally:
             ctx.close()
-        return times
 
     parallel_times = bench(serial=False)
     parallel_counts = dict(counts)
-    for name in counts:
-        counts[name] = 0
     serial_times = bench(serial=True)
     speedup = sum(serial_times) / max(sum(parallel_times), 1e-12)
     for k, (tp, ts) in enumerate(zip(parallel_times, serial_times)):
-        print(f"frame {k}: parallel {tp * 1000:.1f} ms, serial {ts * 1000:.1f} ms",
-              file=sys.stderr)
+        print(f"frame {k}: parallel {tp * 1000:.1f} ms, serial {ts * 1000:.1f} ms", file=sys.stderr)
     print(f"speedup vs forced-serial: {speedup:.2f}x", file=sys.stderr)
     # the JSON artifact carries only deterministic facts
     _dump_json({
@@ -399,25 +363,23 @@ def cmd_pipeline_bench(args):
 def cmd_render(args):
     doc = _load_json(args.scene)
     scene = _scene_from_doc(doc, args.seed, args)
+    camera = doc.get("camera")
+    if camera is not None and not isinstance(camera, dict):
+        raise InputError("camera must be a JSON object")
     if args.stereo:
-        rig_doc = doc.get("rig", {})
-        rig = StereoRig(baseline=float(rig_doc.get("baseline", 0.062)),
-                        focal=float(rig_doc.get("focal", 700.0)),
-                        cx=float(rig_doc.get("cx", 159.5)), cy=float(rig_doc.get("cy", 119.5)),
-                        width=int(rig_doc.get("width", 320)), height=int(rig_doc.get("height", 240)))
-        ex = _extrinsics_from_doc(doc["camera"]["extrinsics"])
+        rig = _build(StereoRig, doc.get("rig"), "rig")
+        ex = _build(CameraExtrinsics, (camera or {}).get("extrinsics"), "extrinsics")
         left, right = synth.render_stereo(scene, rig, ex)
-        base = args.out or "stereo.ppm"
-        stem = base[:-4] if base.endswith(".ppm") else base
+        stem = (args.out or "stereo.ppm").removesuffix(".ppm")
         write_ppm(stem + "_left.ppm", left.to_rgb())
         write_ppm(stem + "_right.ppm", right.to_rgb())
         return 0
-    if "camera" in doc:
-        intr, ex = _camera_from_doc(doc["camera"])
+    if camera is not None:
+        intr = _build(CameraIntrinsics, camera.get("intrinsics"), "intrinsics")
+        ex = _build(CameraExtrinsics, camera.get("extrinsics"), "extrinsics")
         img = synth.render_field(scene, intr, ex, textured=bool(doc.get("textured")))
     else:
-        bspec = _birdview_from_doc(doc.get("birdview"))
-        img = synth.render_birdview(scene, bspec)
+        img = synth.render_birdview(scene, _build(BirdviewSpec, doc.get("birdview"), "birdview"))
     write_ppm(args.out or "render.ppm", img.to_rgb())
     return 0
 
@@ -436,14 +398,13 @@ def cmd_gen_trajectory(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="fieldkit",
                                 description="Desk-scale soccer-robot perception stack")
-    p.add_argument("--seed", type=int, default=None, help="seed for all randomness")
+    p.add_argument("--seed", type=_number(int, 0), default=None, help="seed for all randomness")
     p.add_argument("--out", default=None, help="output path (default: stdout/cwd)")
-    p.add_argument("--config", default=None,
-                   help="JSON file with shared defaults (field, sigmas, vision)")
+    p.add_argument("--config", default=None, help="JSON file with shared defaults (field, sigmas, vision)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # pre-subcommand value when the post-subcommand copy is absent
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    shared.add_argument("--seed", type=_number(int, 0), default=argparse.SUPPRESS)
     shared.add_argument("--out", default=argparse.SUPPRESS)
     shared.add_argument("--config", default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
@@ -456,9 +417,9 @@ def build_parser():
 
     q = sub.add_parser("detect-lines", help="detect field lines in a PGM/PPM image", parents=[shared])
     q.add_argument("image")
-    q.add_argument("--line-width-px", type=float, default=5.0)
-    q.add_argument("--decimation", type=int, default=4)
-    q.add_argument("--min-length", type=float, default=40.0)
+    q.add_argument("--line-width-px", type=_number(float, 0, 1e6), default=5.0)
+    q.add_argument("--decimation", type=_number(int, 1, 10**6), default=4)
+    q.add_argument("--min-length", type=_number(float, 0), default=40.0)
     q.add_argument("--overlay", default=None)
     q.set_defaults(fn=cmd_detect_lines)
 
@@ -471,20 +432,20 @@ def build_parser():
     q = sub.add_parser("distort", help="emulate a wide-angle lens on a rectilinear image", parents=[shared])
     q.add_argument("image")
     q.add_argument("camera")
-    q.add_argument("--k1", type=float, default=-0.3)
-    q.add_argument("--k2", type=float, default=0.1)
-    q.add_argument("--mask-fov", type=float, default=None,
+    q.add_argument("--k1", type=_number(float), default=-0.3)
+    q.add_argument("--k2", type=_number(float), default=0.1)
+    q.add_argument("--mask-fov", type=_number(float, 0), default=None,
                    help="also apply the FoV mask at this angle (degrees)")
     q.set_defaults(fn=cmd_distort)
 
     q = sub.add_parser("mask", help="procedural FoV mask for a camera", parents=[shared])
     q.add_argument("camera")
-    q.add_argument("--fov-deg", type=float, default=100.0)
+    q.add_argument("--fov-deg", type=_number(float, 0), default=100.0)
     q.set_defaults(fn=cmd_mask)
 
     q = sub.add_parser("localize", help="run the particle filter over a trajectory", parents=[shared])
     q.add_argument("trajectory")
-    q.add_argument("--particles", type=_positive_int, default=500)
+    q.add_argument("--particles", type=_number(int, 1), default=500)
     q.set_defaults(fn=cmd_localize)
 
     q = sub.add_parser("stereo", help="obstacles from a rectified PGM/PPM pair", parents=[shared])
@@ -496,9 +457,9 @@ def build_parser():
 
     q = sub.add_parser("pipeline-bench", help="run a pipeline of sleep filters", parents=[shared])
     q.add_argument("pipeline")
-    q.add_argument("--frames", type=_positive_int, default=8)
-    q.add_argument("--sleep-ms", type=float, default=50.0)
-    q.add_argument("--workers", type=int, default=None)
+    q.add_argument("--frames", type=_number(int, 1), default=8)
+    q.add_argument("--sleep-ms", type=_number(float, 0), default=50.0)
+    q.add_argument("--workers", type=_number(int, 1), default=None)
     q.set_defaults(fn=cmd_pipeline_bench)
 
     q = sub.add_parser("render", help="render a synthetic scene", parents=[shared])
@@ -508,17 +469,16 @@ def build_parser():
 
     q = sub.add_parser("gen-trajectory", help="generate a localization trajectory", parents=[shared])
     q.add_argument("scene", nargs="?", default=None)
-    q.add_argument("--steps", type=_positive_int, default=50)
+    q.add_argument("--steps", type=_number(int, 1), default=50)
     q.set_defaults(fn=cmd_gen_trajectory)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AlgorithmError as exc:

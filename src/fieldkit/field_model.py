@@ -43,10 +43,6 @@ class FieldPose:
     def __post_init__(self):
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
-    @property
-    def xy(self) -> Point:
-        return (self.x, self.y)
-
 
 def _default_layout(length, width, penalty_depth, penalty_width,
                     goal_area_depth, goal_area_width) -> tuple[Segment, ...]:
@@ -181,14 +177,6 @@ class FieldSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad field document: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "FieldSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid field JSON: {exc}") from exc
-        return cls.from_dict(doc)
-
     def to_dict(self) -> dict:
         return {
             "length": self.length,
@@ -208,7 +196,7 @@ class FieldSpec:
 def load_default_field() -> FieldSpec:
     """Load the bundled default field description."""
     text = resources.files("fieldkit.data").joinpath("default_field.json").read_text()
-    return FieldSpec.from_json(text)
+    return FieldSpec.from_dict(json.loads(text))
 
 
 def _nearest_axis(coord: float, half: float, cell: float, n: int) -> int:
@@ -278,17 +266,3 @@ def kick_offsets(spec: FieldSpec, kick_lengths) -> tuple[tuple[int, int], ...]:
     if any(k <= spec.cell_size for k in kicks):
         raise InputError("every kick length must exceed the cell size")
     return _kick_offsets(spec.cell_size, kicks)
-
-
-def kick_edges(i: GridIndex, kick_lengths, spec: FieldSpec) -> list[tuple[GridIndex, float]]:
-    """In-field cells reachable from cell i by one kick, with center distances."""
-    offsets = kick_offsets(spec, kick_lengths)
-    cx, cy = cell_center(i, spec)
-    out = []
-    for dr, dc in offsets:
-        r, c = i.row + dr, i.col + dc
-        if 0 <= r < spec.n_rows and 0 <= c < spec.n_cols:
-            j = GridIndex(r, c)
-            tx, ty = cell_center(j, spec)
-            out.append((j, math.sqrt((tx - cx) ** 2 + (ty - cy) ** 2)))
-    return out

@@ -56,6 +56,8 @@ class PipelineSpec:
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
         object.__setattr__(self, "source_slots", tuple(self.source_slots))
+        if not all(isinstance(s, str) for s in self.source_slots):
+            raise InputError("source slot names must be strings")
         names = [f.name for f in self.filters]
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
@@ -123,19 +125,18 @@ def parse_pipeline(document: str) -> PipelineSpec:
         raise InputError(f"invalid pipeline JSON: {exc}") from exc
     if not isinstance(doc, dict) or "filters" not in doc:
         raise InputError("pipeline document must be an object with a 'filters' list")
-    filters = []
-    for entry in doc["filters"]:
-        try:
-            filters.append(FilterSpec(
-                name=str(entry["name"]),
-                inputs=tuple(entry.get("inputs", ())),
-                outputs=tuple(entry.get("outputs", ())),
-                frequency_divider=int(entry.get("divider", 1)),
-            ))
-        except KeyError as exc:
-            raise InputError(f"filter entry missing {exc}") from exc
-    return PipelineSpec(filters=tuple(filters),
-                        source_slots=tuple(doc.get("source_slots", ())))
+    try:
+        filters = tuple(FilterSpec(
+            name=str(entry["name"]),
+            inputs=tuple(entry.get("inputs", ())),
+            outputs=tuple(entry.get("outputs", ())),
+            frequency_divider=int(entry.get("divider", 1)),
+        ) for entry in doc["filters"])
+        return PipelineSpec(filters=filters, source_slots=tuple(doc.get("source_slots", ())))
+    except KeyError as exc:
+        raise InputError(f"filter entry missing {exc}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise InputError(f"malformed pipeline document: {exc}") from exc
 
 
 def compute_batches(spec: PipelineSpec) -> BatchPlan:

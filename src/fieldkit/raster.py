@@ -108,8 +108,10 @@ def read_pnm(path) -> np.ndarray:
         channels = 3
     else:
         raise InputError(f"unsupported PNM magic {data[:2]!r} in {path}")
-    (w, h, maxval), body = _read_pnm_header(data, 2, 3)
-    w, h, maxval = int(w), int(h), int(maxval)
+    tokens, body = _read_pnm_header(data, 2, 3)
+    if not all(t.isdigit() and int(t) > 0 for t in tokens):
+        raise InputError(f"PNM width, height and maxval must be positive integers in {path}")
+    w, h, maxval = (int(t) for t in tokens)
     if maxval != 255:
         raise InputError("only maxval 255 PNM files are supported")
     n = w * h * channels

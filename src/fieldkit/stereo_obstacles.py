@@ -315,22 +315,6 @@ def clusters_to_field(clusters, extrinsics) -> list[tuple[float, float]]:
     return out
 
 
-def as_pipeline_filter(rig: StereoRig, params: StereoParams = StereoParams()):
-    """The whole stereo chain as one scheduler filter.
-
-    Consumes the 'left_image' and 'right_image' slots, produces
-    'ground_plane' and 'obstacles'; meant to run with a frequency divider
-    so the main pipeline keeps its full rate while stereo runs at half.
-    """
-
-    def stereo_filter(inputs):
-        plane, clusters = detect_obstacles(inputs["left_image"],
-                                           inputs["right_image"], rig, params)
-        return {"ground_plane": plane, "obstacles": clusters}
-
-    return stereo_filter
-
-
 def detect_obstacles(left: Raster, right: Raster, rig: StereoRig,
                      params: StereoParams = StereoParams()):
     """Full stereo chain; returns (GroundPlane, clusters).

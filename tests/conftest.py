@@ -1,12 +1,14 @@
 """Shared test fixtures: independent oracles used by several modules."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from fieldkit.ball_planner import _segment_blocked, _travel_times, time_to_approach_ball
-from fieldkit.field_model import cell_center, pose_to_cell
+from fieldkit.field_model import GridIndex, cell_center, kick_offsets, pose_to_cell
 
 
 def _reference_dijkstra_cost(ctx, spec):
@@ -48,3 +50,25 @@ def _reference_dijkstra_cost(ctx, spec):
 @pytest.fixture(scope="session")
 def reference_dijkstra_cost():
     return _reference_dijkstra_cost
+
+
+def _kick_edges(i, kick_lengths, spec):
+    """In-field cells reachable from cell i by one kick, with center distances.
+
+    The scalar twin of the planner's CSR kick graph, one cell at a time.
+    """
+    offsets = kick_offsets(spec, kick_lengths)
+    cx, cy = cell_center(i, spec)
+    out = []
+    for dr, dc in offsets:
+        r, c = i.row + dr, i.col + dc
+        if 0 <= r < spec.n_rows and 0 <= c < spec.n_cols:
+            j = GridIndex(r, c)
+            tx, ty = cell_center(j, spec)
+            out.append((j, math.sqrt((tx - cx) ** 2 + (ty - cy) ** 2)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def kick_edges():
+    return _kick_edges

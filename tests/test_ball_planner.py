@@ -5,6 +5,7 @@ import pytest
 
 from fieldkit.ball_planner import (
     PlanContext,
+    _kick_graph,
     _segment_blocked,
     compute_cost,
     heuristic,
@@ -14,7 +15,7 @@ from fieldkit.ball_planner import (
     time_to_approach_ball,
 )
 from fieldkit.errors import NoPath
-from fieldkit.field_model import FieldPose, FieldSpec, cell_center, kick_edges, pose_to_cell
+from fieldkit.field_model import FieldPose, FieldSpec, cell_center, pose_to_cell
 
 
 @pytest.fixture(scope="module")
@@ -183,15 +184,20 @@ def test_single_kick_plan_on_empty_field(spec):
     assert expected == pytest.approx(1.0)  # approach 0 + 2.0 m / 2.0 m/s
 
 
-def test_waypoints_are_valid_kick_edges(spec):
+def test_waypoints_are_valid_kick_edges(spec, kick_edges):
     rng = np.random.default_rng(2)
     for _ in range(10):
         ctx = random_ctx(rng)
         plan = plan_ball_path(ctx, spec)
+        indptr, dst, _ = _kick_graph(spec, ctx.kick_lengths)
         for a, b in zip(plan.waypoints, plan.waypoints[1:]):
-            ia = pose_to_cell(a, spec)
-            targets = {j for j, _ in kick_edges(ia, ctx.kick_lengths, spec)}
-            assert pose_to_cell(b, spec) in targets
+            ia, ib = pose_to_cell(a, spec), pose_to_cell(b, spec)
+            n = ia.row * spec.n_cols + ia.col
+            row = {int(t) for t in dst[indptr[n]:indptr[n + 1]]}
+            # the planner's graph row is the oracle's edge set, and holds the kick
+            assert row == {j.row * spec.n_cols + j.col
+                           for j, _ in kick_edges(ia, ctx.kick_lengths, spec)}
+            assert ib.row * spec.n_cols + ib.col in row
 
 
 def test_cost_equals_edge_sum_on_random_instances(spec):

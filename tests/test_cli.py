@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from fieldkit.cli import main
+from fieldkit.errors import InputError
 from fieldkit.field_model import FieldSpec
 from fieldkit.raster import read_pnm, write_ppm
+
+
+SMALL_INTRINSICS = {"fx": 300.0, "fy": 300.0, "cx": 3.5, "cy": 3.5, "width": 8, "height": 8}
+SMALL_CAMERA = {"intrinsics": SMALL_INTRINSICS,
+                "extrinsics": {"position": [-1.0, 0.0, 0.7], "rpy": [0.0, 0.75, 0.0]}}
+SMALL_RIG = {"baseline": 0.062, "focal": 700.0, "cx": 3.5, "cy": 3.5, "width": 8, "height": 8}
 
 
 @pytest.fixture()
@@ -68,20 +75,84 @@ def test_render_non_object_document_exit_code(tmp_path):
     ["gen-trajectory", "--steps", "0"],
     ["localize", "{traj}", "--particles", "-3"],
     ["pipeline-bench", "{pipe}", "--frames", "0"],
+    ["detect-lines", "{img}", "--decimation", "0"],
+    ["detect-lines", "{img}", "--line-width-px", "nan"],
+    ["pipeline-bench", "{pipe}", "--sleep-ms", "-1"],
+    ["pipeline-bench", "{pipe}", "--workers", "0"],
+    ["mask", "{cam}", "--fov-deg", "nan"],
+    ["--seed", "-1", "localize", "{traj}"],
 ])
 def test_non_positive_counts_exit_code(tmp_path, argv):
     traj = tmp_path / "traj.json"
     traj.write_text(json.dumps({"steps": []}))
     pipe = tmp_path / "pipe.json"
     pipe.write_text(json.dumps({"source_slots": [], "filters": []}))
-    # argparse rejects the count before any command runs
+    img = tmp_path / "img.ppm"
+    write_ppm(img, np.full((8, 8, 3), 90, np.uint8))
+    cam = tmp_path / "cam.json"
+    cam.write_text(json.dumps({"intrinsics": SMALL_INTRINSICS}))
+    # argparse rejects the value before any command runs
     with pytest.raises(SystemExit) as exc:
-        run_cli(*[a.format(traj=traj, pipe=pipe) for a in argv])
+        run_cli(*[a.format(traj=traj, pipe=pipe, img=img, cam=cam) for a in argv])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, doc, code", [
+    # a rig without focal takes StereoRig's default focal, so this document
+    # is now valid; the flat 8x8 pair then has no ground plane to fit
+    (["stereo", "{img}", "{img}"], {k: v for k, v in SMALL_RIG.items() if k != "focal"}, 3),
+    (["stereo", "{img}", "{img}"], {**SMALL_RIG, "focal": "x"}, 2),
+    (["stereo", "{img}", "{img}"], {**SMALL_RIG, "params": {"bogus": 1}}, 2),
+    (["distort", "{img}"], {"extrinsics": SMALL_CAMERA["extrinsics"]}, 2),
+    (["mask"], {"extrinsics": SMALL_CAMERA["extrinsics"]}, 2),
+    (["birdview", "{img}"], {**SMALL_CAMERA, "birdview": {"out_width": "x"}}, 2),
+    (["birdview", "{img}"], {**SMALL_CAMERA, "intrinsics": {**SMALL_INTRINSICS, "fx": "a"}}, 2),
+    (["birdview", "{img}"], {**SMALL_CAMERA, "extrinsics": {"position": [0, 1]}}, 2),
+    (["render"], {"obstacles": [[1, 2]]}, 2),
+    (["render"], {"obstacles": [["a", 0, 1, 1]], "camera": SMALL_CAMERA}, 2),
+    (["render"], {"noise_sigma": "x"}, 2),
+    (["render"], {"seed": "x"}, 2),
+    (["render", "--stereo"], {}, 2),
+    (["render"], {"camera": [1, 2]}, 2),
+    (["render"], {"birdview": {"view_center": [0.0]}}, 2),
+    (["birdview", "{img}"], {**SMALL_CAMERA, "extrinsics": {"position": [0, 0, 1], "rpy": [0.1]}}, 2),
+    (["plan"], {"ball": [0.5, 0.2], "robot": [None, 0.0, 0.2]}, 2),
+    (["plan"], {"ball": [0.5, 0.2], "robot": [0, 0, 0], "kick_lengths": [float("nan")]}, 2),
+    (["plan", "--overlay", "{img}.ppm"],
+     {"ball": [0.5, 0.2], "robot": [0, 0, 0], "opponents": [[float("inf"), 0]]}, 2),
+    (["localize"], {"steps": None}, 2),
+    (["pipeline-bench"], {"source_slots": [[]], "filters": []}, 2),
+    (["pipeline-bench"], {"filters": [{"name": "a", "inputs": None}]}, 2),
+    (["detect-lines", "{img}", "--config"], {"vision": {"bogus": 1}}, 2),
+])
+def test_malformed_document_exit_code(tmp_path, argv, doc, code):
+    img = tmp_path / "img.ppm"
+    write_ppm(img, np.full((8, 8, 3), 90, np.uint8))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.format(img=img) for a in argv] + [path, "--out", tmp_path / "out"]
+    assert run_cli(*argv) == code
+
+
+@pytest.mark.parametrize("header", [b"P6\nab 2\n255\n", b"P5\n2 x\n255\n",
+                                    b"P5\n-1 -1\n255\nz", b"P5\n0 3\n255\n"])
+def test_malformed_pnm_header(tmp_path, header):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header)
+    with pytest.raises(InputError):
+        read_pnm(path)
+    assert run_cli("detect-lines", path) == 2
+
+
+def test_unwritable_output_exit_code(tmp_path, scene_file):
+    assert run_cli("plan", scene_file, "--out", tmp_path / "missing" / "plan.json") == 2
 
 
 def test_missing_files_exit_code(tmp_path):
     assert run_cli("plan", tmp_path / "nope.json") == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00\x9c")
+    assert run_cli("plan", binary) == 2
     assert run_cli("detect-lines", tmp_path / "nope.ppm") == 2
     assert run_cli("pipeline-bench", tmp_path / "nope.json") == 2
 

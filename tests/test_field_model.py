@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fieldkit.ball_planner import _kick_graph
 from fieldkit.errors import InputError, OutOfField
 from fieldkit.field_model import (
     FieldSpec,
     GridIndex,
     cell_center,
-    kick_edges,
     load_default_field,
     pose_to_cell,
 )
@@ -85,9 +85,25 @@ def test_out_of_field_raises(spec):
     pose_to_cell((spec.half_length + spec.cell_size / 2 - 1e-9, 0.0), spec)
 
 
-def test_kick_edges_annulus_matches_brute_force(spec):
+def graph_row(spec, i, kicks):
+    """Targets and center distances of cell i's row in the planner's kick graph."""
+    indptr, dst, dist = _kick_graph(spec, tuple(kicks))
+    n = i.row * spec.n_cols + i.col
+    lo, hi = indptr[n], indptr[n + 1]
+    return [(GridIndex(int(t) // spec.n_cols, int(t) % spec.n_cols), float(d))
+            for t, d in zip(dst[lo:hi], dist[lo:hi])]
+
+
+def assert_row_matches_oracle(spec, i, kicks, kick_edges):
+    """The graph row equals the scalar oracle, distances bit for bit."""
+    row = graph_row(spec, i, kicks)
+    assert sorted(row) == sorted(kick_edges(i, kicks, spec))
+    return row
+
+
+def test_kick_edges_annulus_matches_brute_force(spec, kick_edges):
     center = pose_to_cell((0.0, 0.0), spec)
-    edges = kick_edges(center, [0.5], spec)
+    edges = assert_row_matches_oracle(spec, center, [0.5], kick_edges)
     rows, cols, centers = all_centers(spec)
     c = np.array(cell_center(center, spec))
     d = np.hypot(centers[:, 0] - c[0], centers[:, 1] - c[1])
@@ -98,29 +114,37 @@ def test_kick_edges_annulus_matches_brute_force(spec):
     assert got == expect
 
 
-def test_kick_edges_lengths_match_centers(spec):
+def test_kick_edges_lengths_match_centers(spec, kick_edges):
     i = GridIndex(10, 20)
-    for j, dist in kick_edges(i, [0.5, 1.0], spec):
+    for j, dist in assert_row_matches_oracle(spec, i, [0.5, 1.0], kick_edges):
         a = cell_center(i, spec)
         b = cell_center(j, spec)
         assert dist == math.sqrt((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2)
         assert abs(dist - 0.5) <= 0.05 + 1e-12 or abs(dist - 1.0) <= 0.05 + 1e-12
 
 
-def test_kick_edges_clip_at_border(spec):
-    corner = GridIndex(0, 0)
-    edges = kick_edges(corner, [3.0], spec)
-    assert edges
-    for j, _ in edges:
-        assert 0 <= j.row < spec.n_rows and 0 <= j.col < spec.n_cols
+def test_kick_edges_clip_at_border(spec, kick_edges):
+    for corner in (GridIndex(0, 0), GridIndex(spec.n_rows - 1, spec.n_cols - 1)):
+        edges = assert_row_matches_oracle(spec, corner, [3.0], kick_edges)
+        assert edges
+        for j, _ in edges:
+            assert 0 <= j.row < spec.n_rows and 0 <= j.col < spec.n_cols
 
 
-def test_kick_edges_no_self_and_no_duplicates(spec):
+def test_kick_edges_no_self_and_no_duplicates(spec, kick_edges):
     i = GridIndex(30, 45)
-    edges = kick_edges(i, [0.5, 1.0, 2.0], spec)
+    edges = assert_row_matches_oracle(spec, i, [0.5, 1.0, 2.0], kick_edges)
     targets = [(j.row, j.col) for j, _ in edges]
     assert (i.row, i.col) not in targets
     assert len(targets) == len(set(targets))
+
+
+def test_kick_edges_match_oracle_on_random_cells(spec, kick_edges):
+    rng = np.random.default_rng(5)
+    for kicks in ([0.5], [0.5, 1.0, 2.0], [2.0, 0.5, 1.0], [3.0, 0.75]):
+        for _ in range(15):
+            i = GridIndex(int(rng.integers(spec.n_rows)), int(rng.integers(spec.n_cols)))
+            assert_row_matches_oracle(spec, i, kicks, kick_edges)
 
 
 def test_kick_edges_symmetry_interior(spec):
@@ -128,16 +152,17 @@ def test_kick_edges_symmetry_interior(spec):
     kicks = [0.5, 1.0]
     for _ in range(20):
         i = GridIndex(int(rng.integers(15, 45)), int(rng.integers(15, 75)))
-        for j, _ in kick_edges(i, kicks, spec):
-            back = {k for k, _ in kick_edges(j, kicks, spec)}
+        for j, _ in graph_row(spec, i, kicks):
+            back = {k for k, _ in graph_row(spec, j, kicks)}
             assert i in back
 
 
-def test_kick_edges_empty_kicks_rejected(spec):
-    with pytest.raises(InputError):
-        kick_edges(GridIndex(0, 0), [], spec)
-    with pytest.raises(InputError):
-        kick_edges(GridIndex(0, 0), [0.05], spec)
+def test_kick_edges_empty_kicks_rejected(spec, kick_edges):
+    for kicks in ([], [0.05]):
+        with pytest.raises(InputError):
+            _kick_graph(spec, tuple(kicks))
+        with pytest.raises(InputError):
+            kick_edges(GridIndex(0, 0), kicks, spec)
 
 
 def test_default_json_reproduces_defaults(spec):

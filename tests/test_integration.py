@@ -10,7 +10,7 @@ from fieldkit.birdview import BirdviewSpec, CameraExtrinsics, CameraIntrinsics, 
 from fieldkit.line_vision import VisionConfig, detect_lines
 from fieldkit.pipeline_scheduler import EMPTY, RunContext, compute_batches, parse_pipeline
 from fieldkit.pipeline_scheduler import run_frame
-from fieldkit.stereo_obstacles import StereoParams, StereoRig, as_pipeline_filter
+from fieldkit.stereo_obstacles import StereoParams, StereoRig, detect_obstacles
 from fieldkit.synth import Obstacle, Scene, render_stereo
 
 
@@ -40,11 +40,12 @@ def test_demo_pipeline_runs_with_real_filters():
                           min_points_per_voxel=2, protrusion=0.08,
                           link_dist=0.1, min_cluster_size=8, seed=0)
     stereo_runs = []
-    stereo_base = as_pipeline_filter(rig, params)
 
     def stereo(inputs):
         stereo_runs.append(1)
-        return stereo_base(inputs)
+        plane, clusters = detect_obstacles(inputs["left_image"], inputs["right_image"],
+                                           rig, params)
+        return {"ground_plane": plane, "obstacles": clusters}
 
     world_states = []
 
