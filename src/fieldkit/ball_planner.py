@@ -48,9 +48,11 @@ class PlanContext:
                            tuple((float(o[0]), float(o[1])) for o in self.opponents))
         object.__setattr__(self, "kick_lengths", tuple(float(k) for k in self.kick_lengths))
         object.__setattr__(self, "goal_center", (float(self.goal_center[0]), float(self.goal_center[1])))
-        if not all(map(math.isfinite,
-                       (*self.goal_center, *self.kick_lengths, *sum(self.opponents, ())))):
-            raise InputError("goal, kick lengths and opponents must be finite")
+        values = (*self.goal_center, *self.kick_lengths, *sum(self.opponents, ()),
+                  *(v for p in (self.robot_pos, *self.teammates) for v in (p.x, p.y, p.theta)),
+                  self.ball_speed, self.walk_speed, self.turn_speed, self.opponent_radius)
+        if not all(map(math.isfinite, values)):
+            raise InputError("scene poses, speeds, distances and points must be finite")
         if self.ball_speed <= 0 or self.walk_speed <= 0 or self.turn_speed <= 0:
             raise InputError("speeds must be positive")
         if self.opponent_radius <= 0:

@@ -203,6 +203,14 @@ def _undistort_normalized(xd, yd, intr: CameraIntrinsics, iterations: int = 20, 
     return xn, yn
 
 
+def _pixel_grid_normalized(intr: CameraIntrinsics):
+    """Undistorted normalized coordinates (xn, yn) of every pixel center, row-major."""
+    rows, cols = np.mgrid[0:intr.height, 0:intr.width]
+    xd = (cols.ravel() - intr.cx) / intr.fx
+    yd = (rows.ravel() - intr.cy) / intr.fy
+    return _undistort_normalized(xd, yd, intr)
+
+
 def unproject_to_ground(px, ex: CameraExtrinsics, intr: CameraIntrinsics) -> tuple[float, float]:
     """Back-project a pixel onto the z=0 field plane.
 
@@ -319,10 +327,7 @@ def emulate_wide_angle(r: Raster, intr: CameraIntrinsics, k1: float, k2: float) 
         raise InputError("raster size must match the intrinsics")
     distorted = CameraIntrinsics(intr.fx, intr.fy, intr.cx, intr.cy,
                                  intr.width, intr.height, k1, k2)
-    rows, cols = np.mgrid[0:r.height, 0:r.width]
-    xd = (cols.ravel() - intr.cx) / intr.fx
-    yd = (rows.ravel() - intr.cy) / intr.fy
-    xn, yn = _undistort_normalized(xd, yd, distorted)
+    xn, yn = _pixel_grid_normalized(distorted)
     u = intr.fx * xn + intr.cx
     v = intr.fy * yn + intr.cy
     index = _nearest_index(u, v, True, r.luma.shape).reshape(r.luma.shape)
@@ -342,10 +347,7 @@ def fov_mask(intr: CameraIntrinsics, fov_limit: float) -> np.ndarray:
         raise InputError(
             f"fov_limit {math.degrees(fov_limit):.1f} deg exceeds the rectilinear "
             f"FoV {math.degrees(full_fov):.1f} deg")
-    rows, cols = np.mgrid[0:intr.height, 0:intr.width]
-    xd = (cols.ravel() - intr.cx) / intr.fx
-    yd = (rows.ravel() - intr.cy) / intr.fy
-    xn, yn = _undistort_normalized(xd, yd, intr)
+    xn, yn = _pixel_grid_normalized(intr)
     angle = np.arctan(np.hypot(xn, yn))
     mask = (angle <= fov_limit / 2.0 + 1e-12).astype(np.uint8) * 255
     return mask.reshape(intr.height, intr.width)

@@ -478,7 +478,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, OSError) as exc:  # OSError: a path that cannot be read or written
+    # OSError: a path that cannot be read or written; MemoryError: a count too large
+    except (InputError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AlgorithmError as exc:

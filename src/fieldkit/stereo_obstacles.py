@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCloud, DimensionMismatch, InputError
+from .line_vision import integral_image, rect_sum
 from .raster import Raster
 
 
@@ -90,7 +91,9 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     Returns int32 (H, W); invalid pixels are -1. Flat-cost ties resolve to
     the smallest disparity. Two validity filters: the best cost must beat
     the best outside +/-1 disparity by the uniqueness margin, and the
-    left-right consistency check tolerates 1 px.
+    left-right consistency check tolerates 1 px. One int64 cost volume holds
+    min(max_disparity + 1, W - window + 1) layers, at least one: a wider
+    disparity has no window inside the image, so memory follows the image.
     """
     if left.luma.shape != right.luma.shape:
         raise DimensionMismatch("stereo pair shapes differ")
@@ -103,61 +106,35 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     h, w = l.shape
     half = window // 2
     big = np.int64(1) << 40
+    inner, outer = slice(None, -window), slice(window, None)
 
-    # cost_l[d][v, u] = SAD of left(u) vs right(u - d); cost_r derives by shift
+    # cost[d][v, u] = SAD of left(u) vs right(u - d), big where either window
+    # leaves the image; the right view's SAD_r(u, d) is SAD_l(u + d, d)
     n_d = max_disparity + 1
-    cost_l = np.full((n_d, h, w), big, dtype=np.int64)
-    cost_r = np.full((n_d, h, w), big, dtype=np.int64)
-    for d in range(n_d):
-        diff = np.full((h, w), 0, dtype=np.int64)
-        if d == 0:
-            diff = np.abs(l - r).astype(np.int64)
-        else:
-            diff[:, d:] = np.abs(l[:, d:] - r[:, :-d]).astype(np.int64)
-        ii = np.zeros((h + 1, w + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(diff, axis=0), axis=1, out=ii[1:, 1:])
-        y0 = np.arange(h) - half
-        y1 = np.arange(h) + half + 1
-        x0 = np.arange(w) - half
-        x1 = np.arange(w) + half + 1
-        ok_y = (y0 >= 0) & (y1 <= h)
-        ok_x = (x0 >= 0) & (x1 <= w)
-        yy0 = np.where(ok_y, y0, 0)[:, None]
-        yy1 = np.where(ok_y, y1, 0)[:, None]
-        xx0 = np.where(ok_x, x0, 0)[None, :]
-        xx1 = np.where(ok_x, x1, 0)[None, :]
-        sad = ii[yy1, xx1] - ii[yy0, xx1] - ii[yy1, xx0] + ii[yy0, xx0]
-        valid = ok_y[:, None] & ok_x[None, :]
-        # left window must stay in-bounds after the shift by d
-        valid = valid & (np.arange(w)[None, :] - d - half >= 0)
-        cost_l[d] = np.where(valid, sad, big)
-        # SAD_r(u, d) = SAD_l(u + d, d)
-        cr = np.full((h, w), big, dtype=np.int64)
-        if d == 0:
-            cr = cost_l[d].copy()
-        else:
-            cr[:, :-d] = cost_l[d][:, d:]
-        cost_r[d] = cr
+    cost = np.full((max(1, min(n_d, w - window + 1)), h, w), big, dtype=np.int64)
+    best_r = np.full((h, w), big, dtype=np.int64)
+    disp_r = np.zeros((h, w), dtype=np.int32)
+    for d in range(len(cost)):
+        table = integral_image(np.abs(l[:, d:] - r[:, :w - d]))
+        cost[d, half:h - half, d + half:w - half] = rect_sum(table, inner, outer, inner, outer)
+        better = cost[d, :, d:] < best_r[:, :w - d]  # strict: ties keep the smaller d
+        best_r[:, :w - d][better] = cost[d, :, d:][better]
+        disp_r[:, :w - d][better] = d
 
-    disp_l = np.argmin(cost_l, axis=0).astype(np.int32)
-    disp_r = np.argmin(cost_r, axis=0).astype(np.int32)
-    best_l = np.take_along_axis(cost_l, disp_l[None].astype(np.int64), axis=0)[0]
+    disp_l = np.argmin(cost, axis=0).astype(np.int32)
+    best_l = np.take_along_axis(cost, disp_l[None], axis=0)[0]
     valid_l = best_l < big
-    valid_r = np.take_along_axis(cost_r, disp_r[None].astype(np.int64), axis=0)[0] < big
     if uniqueness > 0 and n_d > 3:
-        d_axis = np.arange(n_d)[:, None, None]
-        masked = np.where(np.abs(d_axis - disp_l[None]) <= 1, big, cost_l)
-        second = masked.min(axis=0)
-        ambiguous = (second < big) & (best_l * (1.0 + uniqueness) > second)
-        valid_l &= ~ambiguous
+        for offset in (-1, 0, 1):  # a clipped index stays within +/-1 of disp_l
+            np.put_along_axis(cost, np.clip(disp_l[None] + offset, 0, len(cost) - 1), big, axis=0)
+        second = cost.min(axis=0)
+        valid_l &= ~((second < big) & (best_l * (1.0 + uniqueness) > second))
 
-    u = np.arange(w)[None, :].repeat(h, axis=0)
-    ur = u - disp_l
+    rows = np.arange(h)[:, None]
+    ur = np.arange(w) - disp_l
     ur_ok = valid_l & (ur >= 0)
     ur_c = np.where(ur_ok, ur, 0)
-    match = disp_r[np.arange(h)[:, None], ur_c]
-    match_ok = valid_r[np.arange(h)[:, None], ur_c]
-    consistent = ur_ok & match_ok & (np.abs(disp_l - match) <= 1)
+    consistent = ur_ok & (best_r[rows, ur_c] < big) & (np.abs(disp_l - disp_r[rows, ur_c]) <= 1)
     return np.where(consistent, disp_l, -1).astype(np.int32)
 
 

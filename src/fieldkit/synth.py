@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .birdview import BirdviewSpec, CameraExtrinsics, CameraIntrinsics, _undistort_normalized
+from .birdview import BirdviewSpec, CameraExtrinsics, CameraIntrinsics, _pixel_grid_normalized
 from .field_model import FieldPose, FieldSpec
 from .geometry import points_segments_distance
 from .localization import (
@@ -102,10 +102,7 @@ def render_birdview(scene: Scene, bspec: BirdviewSpec) -> Raster:
 
 def _pixel_rays(intr: CameraIntrinsics, ex: CameraExtrinsics):
     """World-frame unit-z-normalized ray directions for every pixel center."""
-    rows, cols = np.mgrid[0:intr.height, 0:intr.width]
-    xd = (cols.ravel() - intr.cx) / intr.fx
-    yd = (rows.ravel() - intr.cy) / intr.fy
-    xn, yn = _undistort_normalized(xd, yd, intr)
+    xn, yn = _pixel_grid_normalized(intr)
     dirs_cam = np.column_stack([xn, yn, np.ones(xn.size)])
     r_wc = ex.rotation_world_from_camera()
     return dirs_cam @ r_wc.T

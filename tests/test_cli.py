@@ -58,9 +58,17 @@ def test_plan_subcommand(tmp_path, scene_file):
 
 def test_plan_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
+    nan, inf = float("nan"), float("inf")
+    ok = {"robot": [0, 0, 0], "ball": [0.5, 0.2]}
     for doc in ({"robot": [0, 0, 0]},                 # no ball
                 {"robot": [0, 0, 0], "ball": "x"},    # ball not a point
-                [[0, 0, 0], [0.5, 0.2]]):             # not an object
+                [[0, 0, 0], [0.5, 0.2]],              # not an object
+                {**ok, "robot": [nan, 0, 0.2]},       # non-finite values
+                {**ok, "robot": [0, 0, nan]},
+                {**ok, "ball_speed": nan},
+                {**ok, "walk_speed": inf},
+                {**ok, "teammates": [[nan, 0, 0]]},
+                {**ok, "opponent_radius": nan, "opponents": [[1.0, 0.1]]}):
         bad.write_text(json.dumps(doc))
         assert run_cli("plan", bad) == 2, doc
 
@@ -97,6 +105,13 @@ def test_non_positive_counts_exit_code(tmp_path, argv):
     assert exc.value.code == 2
 
 
+def test_count_too_large_for_memory_exit_code(tmp_path):
+    traj = tmp_path / "traj.json"
+    traj.write_text(json.dumps({"steps": []}))
+    # the 7 TiB particle array is refused at once, before any page is touched
+    assert run_cli("localize", traj, "--particles", "1000000000000") == 2
+
+
 @pytest.mark.parametrize("argv, doc, code", [
     # a rig without focal takes StereoRig's default focal, so this document
     # is now valid; the flat 8x8 pair then has no ground plane to fit
@@ -124,6 +139,8 @@ def test_non_positive_counts_exit_code(tmp_path, argv):
     (["pipeline-bench"], {"source_slots": [[]], "filters": []}, 2),
     (["pipeline-bench"], {"filters": [{"name": "a", "inputs": None}]}, 2),
     (["detect-lines", "{img}", "--config"], {"vision": {"bogus": 1}}, 2),
+    # the cost volume follows the image, so a huge max_disparity still fits
+    (["stereo", "{img}", "{img}"], {**SMALL_RIG, "params": {"max_disparity": 10**9}}, 3),
 ])
 def test_malformed_document_exit_code(tmp_path, argv, doc, code):
     img = tmp_path / "img.ppm"

@@ -1,0 +1,216 @@
+"""block_match on one cost volume against the three-volume version it replaced.
+
+`block_match` below is the earlier implementation, kept verbatim as an
+independent oracle: its own summed-area table and four-corner gather per
+disparity, a separate right-view volume shifted from the left one, and a
+masked copy of the left volume for the uniqueness test. The one-volume
+version sums the same int64 costs and applies the same tie, uniqueness and
+consistency rules, so its disparity maps must match the oracle's bit for
+bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fieldkit import stereo_obstacles
+from fieldkit.birdview import CameraExtrinsics
+from fieldkit.errors import DimensionMismatch, InputError
+from fieldkit.raster import Raster
+from fieldkit.stereo_obstacles import StereoParams, StereoRig, detect_obstacles
+from fieldkit.synth import Obstacle, Scene, render_stereo
+
+
+# --- oracle: three (D+1) x H x W volumes, verbatim -----------------------------
+
+def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
+                uniqueness: float = 0.15) -> np.ndarray:
+    """Integer disparity map minimizing windowed SAD.
+
+    Returns int32 (H, W); invalid pixels are -1. Flat-cost ties resolve to
+    the smallest disparity. Two validity filters: the best cost must beat
+    the best outside +/-1 disparity by the uniqueness margin, and the
+    left-right consistency check tolerates 1 px.
+    """
+    if left.luma.shape != right.luma.shape:
+        raise DimensionMismatch("stereo pair shapes differ")
+    if window % 2 == 0 or window < 1:
+        raise InputError("window must be odd and positive")
+    if max_disparity < 0:
+        raise InputError("max_disparity must be non-negative")
+    l = left.luma.astype(np.int32)
+    r = right.luma.astype(np.int32)
+    h, w = l.shape
+    half = window // 2
+    big = np.int64(1) << 40
+
+    # cost_l[d][v, u] = SAD of left(u) vs right(u - d); cost_r derives by shift
+    n_d = max_disparity + 1
+    cost_l = np.full((n_d, h, w), big, dtype=np.int64)
+    cost_r = np.full((n_d, h, w), big, dtype=np.int64)
+    for d in range(n_d):
+        diff = np.full((h, w), 0, dtype=np.int64)
+        if d == 0:
+            diff = np.abs(l - r).astype(np.int64)
+        else:
+            diff[:, d:] = np.abs(l[:, d:] - r[:, :-d]).astype(np.int64)
+        ii = np.zeros((h + 1, w + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(diff, axis=0), axis=1, out=ii[1:, 1:])
+        y0 = np.arange(h) - half
+        y1 = np.arange(h) + half + 1
+        x0 = np.arange(w) - half
+        x1 = np.arange(w) + half + 1
+        ok_y = (y0 >= 0) & (y1 <= h)
+        ok_x = (x0 >= 0) & (x1 <= w)
+        yy0 = np.where(ok_y, y0, 0)[:, None]
+        yy1 = np.where(ok_y, y1, 0)[:, None]
+        xx0 = np.where(ok_x, x0, 0)[None, :]
+        xx1 = np.where(ok_x, x1, 0)[None, :]
+        sad = ii[yy1, xx1] - ii[yy0, xx1] - ii[yy1, xx0] + ii[yy0, xx0]
+        valid = ok_y[:, None] & ok_x[None, :]
+        # left window must stay in-bounds after the shift by d
+        valid = valid & (np.arange(w)[None, :] - d - half >= 0)
+        cost_l[d] = np.where(valid, sad, big)
+        # SAD_r(u, d) = SAD_l(u + d, d)
+        cr = np.full((h, w), big, dtype=np.int64)
+        if d == 0:
+            cr = cost_l[d].copy()
+        else:
+            cr[:, :-d] = cost_l[d][:, d:]
+        cost_r[d] = cr
+
+    disp_l = np.argmin(cost_l, axis=0).astype(np.int32)
+    disp_r = np.argmin(cost_r, axis=0).astype(np.int32)
+    best_l = np.take_along_axis(cost_l, disp_l[None].astype(np.int64), axis=0)[0]
+    valid_l = best_l < big
+    valid_r = np.take_along_axis(cost_r, disp_r[None].astype(np.int64), axis=0)[0] < big
+    if uniqueness > 0 and n_d > 3:
+        d_axis = np.arange(n_d)[:, None, None]
+        masked = np.where(np.abs(d_axis - disp_l[None]) <= 1, big, cost_l)
+        second = masked.min(axis=0)
+        ambiguous = (second < big) & (best_l * (1.0 + uniqueness) > second)
+        valid_l &= ~ambiguous
+
+    u = np.arange(w)[None, :].repeat(h, axis=0)
+    ur = u - disp_l
+    ur_ok = valid_l & (ur >= 0)
+    ur_c = np.where(ur_ok, ur, 0)
+    match = disp_r[np.arange(h)[:, None], ur_c]
+    match_ok = valid_r[np.arange(h)[:, None], ur_c]
+    consistent = ur_ok & match_ok & (np.abs(disp_l - match) <= 1)
+    return np.where(consistent, disp_l, -1).astype(np.int32)
+
+
+# --- fixtures ------------------------------------------------------------------
+
+WINDOWS = (1, 3, 9, 15)
+MAX_DISPARITIES = (0, 2, 3, 64, 80)  # 80 is at least every raster's width below
+UNIQUENESS = (0.0, 0.15)
+
+# criterion 7's two-post scene, seen by its 320x240 rig
+POSTS = tuple(Obstacle(x, y, 0.02, 0.3) for x, y in ((0.55, -0.12), (0.55, 0.12)))
+EXTRINSICS = CameraExtrinsics(position=(-0.4, 0.0, 0.35), rpy=(0.0, 0.32, 0.0))
+FULL_RIG = StereoRig(baseline=0.062, focal=700.0, cx=159.5, cy=119.5, width=320, height=240)
+# the same view on a 72x48 sensor, for the parameter grid
+SMALL_RIG = StereoRig(baseline=0.062, focal=157.5, cx=35.5, cy=23.5, width=72, height=48)
+
+
+def _random_pair(seed, h, w):
+    rng = np.random.default_rng(seed)
+    return tuple(Raster.from_gray(rng.integers(0, 256, (h, w)).astype(np.uint8))
+                 for _ in range(2))
+
+
+def _rendered_pair(seed, noise_sigma):
+    rng = np.random.default_rng(seed)
+    boxes = tuple(Obstacle(float(rng.uniform(0.3, 0.9)), float(rng.uniform(-0.2, 0.2)),
+                           float(rng.uniform(0.02, 0.06)), float(rng.uniform(0.1, 0.3)))
+                  for _ in range(2))
+    return render_stereo(Scene(obstacles=boxes, noise_sigma=noise_sigma, seed=seed),
+                         SMALL_RIG, EXTRINSICS)
+
+
+PAIRS = {
+    "boxes-seed1": lambda: _rendered_pair(1, 0.0),
+    "boxes-seed2-noise": lambda: _rendered_pair(2, 4.0),
+    "boxes-seed3-noise": lambda: _rendered_pair(3, 8.0),
+    "smaller-than-window-7x9": lambda: _random_pair(4, 7, 9),
+    "narrow-24x12": lambda: _random_pair(5, 24, 12),
+    "flat": lambda: (Raster.from_gray(np.full((20, 30), 128, np.uint8)),) * 2,
+}
+
+
+@pytest.fixture(scope="module")
+def criterion_7_pair():
+    return render_stereo(Scene(obstacles=POSTS), FULL_RIG, EXTRINSICS)
+
+
+def assert_same_disparity(left, right, window, max_disparity, uniqueness):
+    got = stereo_obstacles.block_match(left, right, window, max_disparity, uniqueness)
+    want = block_match(left, right, window, max_disparity, uniqueness)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want), (window, max_disparity, uniqueness)
+
+
+# --- equivalence ---------------------------------------------------------------
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("pair", PAIRS)
+def test_block_match_matches_oracle(pair, window):
+    left, right = PAIRS[pair]()
+    for max_disparity in MAX_DISPARITIES:
+        for uniqueness in UNIQUENESS:
+            assert_same_disparity(left, right, window, max_disparity, uniqueness)
+
+
+def test_rendered_pairs_exercise_every_filter():
+    # the grid above compares maps that hold valid and invalid pixels alike
+    for name in ("boxes-seed1", "boxes-seed2-noise", "boxes-seed3-noise"):
+        disp = block_match(*PAIRS[name](), 9, 64, 0.15)
+        assert (disp > 0).any() and (disp < 0).any(), name
+
+
+def test_full_rig_matches_oracle(criterion_7_pair):
+    assert_same_disparity(*criterion_7_pair, 9, 64, 0.15)
+
+
+def test_detect_obstacles_unchanged(criterion_7_pair, monkeypatch):
+    params = StereoParams(window=9, max_disparity=64, step=2, voxel=0.03,
+                          min_points_per_voxel=2, protrusion=0.08,
+                          link_dist=0.1, min_cluster_size=8, seed=0)
+    got = detect_obstacles(*criterion_7_pair, FULL_RIG, params)
+    monkeypatch.setattr(stereo_obstacles, "block_match", block_match)
+    want = detect_obstacles(*criterion_7_pair, FULL_RIG, params)
+    assert len(want[1]) == 2
+    assert got == want
+
+
+def test_volume_follows_the_image_not_max_disparity():
+    left, right = _random_pair(6, 8, 8)
+    disp = stereo_obstacles.block_match(left, right, 3, 10**9)
+    assert np.array_equal(disp, block_match(left, right, 3, 7))
+
+
+# --- property ------------------------------------------------------------------
+
+@st.composite
+def stereo_case(draw):
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, draw(st.sampled_from((2, 8, 256))), (h, w + 6)).astype(np.uint8)
+    shift = draw(st.integers(0, 6))
+    left = Raster.from_gray(base[:, :w])
+    right = Raster.from_gray(base[:, shift:shift + w])
+    window = draw(st.sampled_from((1, 3, 5, 9, 15)))
+    max_disparity = draw(st.integers(0, 30))
+    uniqueness = draw(st.sampled_from((0.0, 0.15, 0.5)))
+    return left, right, window, max_disparity, uniqueness
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stereo_case())
+def test_block_match_property(case):
+    assert_same_disparity(*case)
