@@ -13,12 +13,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InputError, NoPath
 from .field_model import FieldPose, FieldSpec, GridIndex, cell_center, kick_offsets, pose_to_cell
-from .geometry import normalize_angle, points_segments_distance
+from .geometry import normalize_angle, normalize_angles, points_segments_distance
 
 Point = tuple[float, float]
 
@@ -38,8 +39,8 @@ class PlanContext:
     kick_lengths: tuple[float, ...] = (0.5, 1.0, 2.0)
     goal_center: Point = (4.5, 0.0)
     # "already at the ball" thresholds under which approach time is zero
-    at_ball_dist: float = 0.1
-    at_ball_angle: float = 0.1
+    at_ball_dist: ClassVar[float] = 0.1
+    at_ball_angle: ClassVar[float] = 0.1
 
     def __post_init__(self):
         object.__setattr__(self, "ball_pos", (float(self.ball_pos[0]), float(self.ball_pos[1])))
@@ -176,7 +177,7 @@ def _approach_times(points: np.ndarray, robot: FieldPose, ctx: PlanContext) -> n
     dy = points[:, 1] - robot.y
     dist = np.sqrt(dx * dx + dy * dy)
     bearing = np.where(dist >= 1e-9, np.arctan2(dy, dx), 0.0)
-    turn = np.abs(np.remainder(bearing - robot.theta + math.pi, 2 * math.pi) - math.pi)
+    turn = np.abs(normalize_angles(bearing - robot.theta))
     t = dist / ctx.walk_speed + turn / ctx.turn_speed
     t[(dist < ctx.at_ball_dist) & (turn <= ctx.at_ball_angle)] = 0.0
     return t
@@ -227,11 +228,7 @@ def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
 
     start_center = cell_center(start_cell, spec)
     g[start] = 0.0
-    if zero_heuristic:
-        h0 = 0.0
-    else:
-        h0 = heuristic(ctx, start_center, True)
-    heap = [(h0, 0.0, start)]
+    heap = [(0.0, 0.0, start)]  # the only entry, so its f is never compared
     expanded = 0
     goal = -1
     while heap:

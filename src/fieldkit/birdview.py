@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,18 +185,18 @@ def project(p, ex: CameraExtrinsics, intr: CameraIntrinsics) -> tuple[float, flo
     return (float(u[0]), float(v[0]))
 
 
-def _undistort_normalized(xd, yd, intr: CameraIntrinsics, iterations: int = 20, tol: float = 1e-8):
-    """Invert the radial model by fixed-point iteration (vectorized)."""
+def _undistort_normalized(xd, yd, intr: CameraIntrinsics):
+    """Invert the radial model by fixed-point iteration (vectorized, <= 20 steps)."""
     if intr.k1 == 0.0 and intr.k2 == 0.0:
         return xd, yd
     xn = np.array(xd, dtype=float, copy=True)
     yn = np.array(yd, dtype=float, copy=True)
-    for _ in range(iterations):
+    for _ in range(20):
         r2 = xn * xn + yn * yn
         f = 1.0 + intr.k1 * r2 + intr.k2 * r2 * r2
         x_new = xd / f
         y_new = yd / f
-        if np.max(np.abs(x_new - xn)) < tol and np.max(np.abs(y_new - yn)) < tol:
+        if np.max(np.abs(x_new - xn)) < 1e-8 and np.max(np.abs(y_new - yn)) < 1e-8:
             xn, yn = x_new, y_new
             break
         xn, yn = x_new, y_new
@@ -325,9 +325,7 @@ def emulate_wide_angle(r: Raster, intr: CameraIntrinsics, k1: float, k2: float) 
     """
     if r.height != intr.height or r.width != intr.width:
         raise InputError("raster size must match the intrinsics")
-    distorted = CameraIntrinsics(intr.fx, intr.fy, intr.cx, intr.cy,
-                                 intr.width, intr.height, k1, k2)
-    xn, yn = _pixel_grid_normalized(distorted)
+    xn, yn = _pixel_grid_normalized(replace(intr, k1=k1, k2=k2))
     u = intr.fx * xn + intr.cx
     v = intr.fy * yn + intr.cy
     index = _nearest_index(u, v, True, r.luma.shape).reshape(r.luma.shape)

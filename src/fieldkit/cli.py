@@ -34,7 +34,7 @@ from .localization import MonteCarloFilter, RobotObservation, SensorModel
 from .pipeline_scheduler import RunContext, compute_batches, parse_pipeline, run_frames
 from .raster import read_raster, write_pgm, write_ppm
 from .stereo_obstacles import StereoParams, StereoRig, block_match, clusters_to_field
-from .stereo_obstacles import detect_obstacles, disparity_to_points
+from .stereo_obstacles import disparity_to_points, obstacles_from_disparity
 
 
 def _write_text(text, out_path):
@@ -137,19 +137,16 @@ def _scene_from_doc(doc, seed, args):
 def _noise_from_doc(doc, args):
     """Sensor model and odometry noise of a trajectory or scene document.
 
-    Sigmas come from the config's "sigmas", overridden by the document's;
-    "odom_noise" must be three finite non-negative numbers.
+    Sigmas come from the config's "sigmas", overridden key by key by the
+    document's; "odom_noise" must be three finite non-negative numbers.
     """
     try:
         sig = {**_config(args).get("sigmas", {}), **doc.get("sigmas", {})}
-        sm = SensorModel(sigma_d=float(sig.get("sigma_d", 0.15)),
-                         sigma_p=float(sig.get("sigma_p", 0.2)),
-                         sigma_theta=float(sig.get("sigma_theta", 0.15)),
-                         max_range=float(sig.get("max_range", 4.0)))
         raw = doc.get("odom_noise", (0.02, 0.02, 0.02))
         odo = tuple(float(v) for v in raw) if isinstance(raw, (list, tuple)) else ()
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad sigmas or odom_noise: {exc}") from exc
+    sm = _build(SensorModel, sig, "sigmas")
     if len(odo) != 3 or not all(math.isfinite(v) and v >= 0 for v in odo):
         raise InputError("odom_noise must be three finite non-negative numbers")
     return sm, odo
@@ -223,8 +220,7 @@ def cmd_detect_lines(args):
     lines, corners = detect_lines(raster, width_map=args.line_width_px, cfg=cfg)
     _dump_json({
         "lines": [{"p0": list(s.p0), "p1": list(s.p1), "length": s.length} for s in lines],
-        "corners": [{"position": list(c.position), "dir_a": list(c.dir_a),
-                     "dir_b": list(c.dir_b)} for c in corners],
+        "corners": [dataclasses.asdict(c) for c in corners],
     }, args.out)
     if args.overlay:
         rgb = raster.to_rgb()
@@ -300,22 +296,15 @@ def cmd_stereo(args):
     params_doc, ex_doc = doc.pop("params", None), doc.pop("extrinsics", None)
     rig = _build(StereoRig, doc, "rig")
     params = _build(StereoParams, params_doc, "stereo params", seed=args.seed or 0)
-    plane, clusters = detect_obstacles(left, right, rig, params)
-    result = {
-        "plane": {"normal": list(plane.normal), "offset": plane.offset, "inlier_count": plane.inlier_count},
-        "clusters": [{
-            "centroid": list(c.centroid),
-            "extent": [list(e) for e in c.extent],
-            "point_count": c.point_count,
-            "max_protrusion": c.max_protrusion,
-        } for c in clusters],
-    }
+    disparity = block_match(left, right, params.window, params.max_disparity)
+    plane, clusters = obstacles_from_disparity(disparity, rig, params)
+    result = {"plane": dataclasses.asdict(plane),
+              "clusters": [dataclasses.asdict(c) for c in clusters]}
     if ex_doc is not None:
         ex = _build(CameraExtrinsics, ex_doc, "extrinsics")
         result["clusters_field"] = [list(p) for p in clusters_to_field(clusters, ex)]
     _dump_json(result, args.out)
     if args.cloud:
-        disparity = block_match(left, right, params.window, params.max_disparity)
         pc = disparity_to_points(disparity, rig, params.step)
         _write_text("".join(f"{x} {y} {z}\n" for x, y, z in pc.points), args.cloud)
     return 0

@@ -8,11 +8,9 @@ columns along x.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -194,9 +192,8 @@ class FieldSpec:
 
 
 def load_default_field() -> FieldSpec:
-    """Load the bundled default field description."""
-    text = resources.files("fieldkit.data").joinpath("default_field.json").read_text()
-    return FieldSpec.from_dict(json.loads(text))
+    """The default field description: FieldSpec's defaults."""
+    return FieldSpec()
 
 
 def _nearest_axis(coord: float, half: float, cell: float, n: int) -> int:

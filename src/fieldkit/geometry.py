@@ -1,5 +1,6 @@
-"""Small shared 2D geometry helpers: angle wrapping, undirected-direction
-difference, line intersection and the one point-to-segment distance."""
+"""Small shared geometry helpers: angle wrapping, undirected-direction
+difference, line intersection, the one point-to-segment distance and the
+one union-find, connected_components."""
 
 from __future__ import annotations
 
@@ -67,3 +68,25 @@ def line_intersection(p0, d0, p1, d1):
     dy = p1[1] - p0[1]
     t = (dx * d1[1] - dy * d1[0]) / cross
     return (p0[0] + t * d0[0], p0[1] + t * d0[1])
+
+
+def connected_components(n: int, pairs) -> list[list[int]]:
+    """Components of the undirected graph on nodes 0..n-1 with edges `pairs`.
+
+    Union-find with path halving (Tarjan 1975). Each component is an
+    ascending list, and the components are ordered by their smallest node.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())

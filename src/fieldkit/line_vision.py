@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import axial_diff, line_intersection
+from .geometry import axial_diff, connected_components, line_intersection
 from .raster import Raster
 
 Point = tuple[float, float]
@@ -335,22 +335,10 @@ def merge_segments(segs, angle_tol: float, dist_tol: float) -> list[LineSegment]
         n = len(current)
         if n <= 1:
             return current
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _segments_mergeable(current[i], current[j], angle_tol, dist_tol):
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[LineSegment]] = {}
-        for i, s in enumerate(current):
-            groups.setdefault(find(i), []).append(s)
-        merged = [_merge_group(g) if len(g) > 1 else g[0] for g in groups.values()]
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n)
+                 if _segments_mergeable(current[i], current[j], angle_tol, dist_tol))
+        merged = [_merge_group([current[i] for i in g]) if len(g) > 1 else current[g[0]]
+                  for g in connected_components(n, pairs)]
         if len(merged) == n:
             return merged
         current = merged

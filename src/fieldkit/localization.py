@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -104,8 +105,8 @@ class SensorModel:
     sigma_p: float = 0.2       # corner/point position (m)
     sigma_theta: float = 0.15  # directions and orientations (rad)
     max_range: float = 4.0
-    gate: float = 3.0          # residuals beyond gate sigmas score the floor
-    floor: float = math.exp(-18.0)
+    gate: ClassVar[float] = 3.0  # residuals beyond gate sigmas score the floor
+    floor: ClassVar[float] = math.exp(-18.0)
 
     def __post_init__(self):
         # zero sigmas are allowed for noise-free generation; the likelihood

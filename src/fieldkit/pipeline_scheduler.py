@@ -74,29 +74,7 @@ class PipelineSpec:
             for slot in f.inputs:
                 if slot not in producer and slot not in self.source_slots:
                     raise UnknownSlot(f.name, slot)
-        self._check_acyclic(producer)
-
-    def _check_acyclic(self, producer):
-        deps = {f.name: sorted({producer[s] for s in f.inputs if s in producer})
-                for f in self.filters}
-        state: dict[str, int] = {}
-        stack: list[str] = []
-
-        def visit(name):
-            state[name] = 1
-            stack.append(name)
-            for dep in deps[name]:
-                if state.get(dep, 0) == 1:
-                    cycle = stack[stack.index(dep):] + [dep]
-                    raise CycleError(cycle)
-                if state.get(dep, 0) == 0:
-                    visit(dep)
-            stack.pop()
-            state[name] = 2
-
-        for f in self.filters:
-            if state.get(f.name, 0) == 0:
-                visit(f.name)
+        compute_batches(self)  # raises CycleError
 
     def producer_of(self) -> dict[str, str]:
         return {slot: f.name for f in self.filters for slot in f.outputs}
@@ -140,19 +118,28 @@ def parse_pipeline(document: str) -> PipelineSpec:
 
 
 def compute_batches(spec: PipelineSpec) -> BatchPlan:
-    """Greedy layering: batch k holds every unscheduled filter whose inputs
-    are source slots or outputs of batches < k. Equals longest-path depth;
-    lexicographic order inside a batch keeps the plan deterministic.
+    """Kahn's layering (Kahn 1962): batch k holds every unscheduled filter
+    whose inputs are source slots or outputs of batches < k. Equals
+    longest-path depth; lexicographic order inside a batch keeps the plan
+    deterministic.
+
+    When no filter is ready, each remaining one reads an output of another,
+    so following the smallest such producer from the smallest remaining name
+    must revisit a filter: that loop is the CycleError's cycle.
     """
-    producer = spec.producer_of()
     ready: set[str] = set(spec.source_slots)
     remaining = {f.name: f for f in spec.filters}
     batches: list[tuple[str, ...]] = []
     while remaining:
         batch = sorted(name for name, f in remaining.items()
                        if all(s in ready for s in f.inputs))
-        if not batch:  # unreachable after validation, kept as a guard
-            raise CycleError(sorted(remaining))
+        if not batch:
+            producer = {s: name for name, f in remaining.items() for s in f.outputs}
+            path = [min(remaining)]
+            while path.count(path[-1]) < 2:
+                path.append(min(producer[s] for s in remaining[path[-1]].inputs
+                                if s in producer))
+            raise CycleError(path[path.index(path[-1]):])
         for name in batch:
             ready.update(remaining.pop(name).outputs)
         batches.append(tuple(batch))

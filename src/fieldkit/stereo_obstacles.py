@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCloud, DimensionMismatch, InputError
+from .geometry import connected_components
 from .line_vision import integral_image, rect_sum
 from .raster import Raster
 
@@ -231,21 +232,9 @@ def extract_clusters(pc: PointCloud, plane: GroundPlane, protrusion: float,
     for idx, c in enumerate(map(tuple, cells)):
         buckets.setdefault(c, []).append(idx)
 
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
     link2 = link_dist * link_dist
     offsets = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+    pairs = []
     for cell, members in buckets.items():
         mpts = pts[members]
         for off in offsets:
@@ -255,14 +244,10 @@ def extract_clusters(pc: PointCloud, plane: GroundPlane, protrusion: float,
             opts_idx = buckets[other]
             d2 = ((mpts[:, None, :] - pts[opts_idx][None, :, :]) ** 2).sum(axis=2)
             ii, jj = np.nonzero(d2 <= link2)
-            for a, b in zip(ii, jj):
-                union(members[a], opts_idx[b])
+            pairs.extend((members[a], opts_idx[b]) for a, b in zip(ii, jj))
 
-    groups: dict[int, list[int]] = {}
-    for i in range(len(pts)):
-        groups.setdefault(find(i), []).append(i)
     clusters = []
-    for members in groups.values():
+    for members in connected_components(len(pts), pairs):
         if len(members) < min_size:
             continue
         sub = pts[members]
@@ -294,12 +279,18 @@ def clusters_to_field(clusters, extrinsics) -> list[tuple[float, float]]:
 
 def detect_obstacles(left: Raster, right: Raster, rig: StereoRig,
                      params: StereoParams = StereoParams()):
-    """Full stereo chain; returns (GroundPlane, clusters).
+    """Full stereo chain, block_match then obstacles_from_disparity;
+    returns (GroundPlane, clusters)."""
+    disparity = block_match(left, right, params.window, params.max_disparity)
+    return obstacles_from_disparity(disparity, rig, params)
+
+
+def obstacles_from_disparity(disparity: np.ndarray, rig: StereoRig, params: StereoParams):
+    """The chain after block matching; returns (GroundPlane, clusters).
 
     Raises DegenerateCloud when the cloud cannot support a confident ground
     fit (too few points or the inlier ratio below the configured floor).
     """
-    disparity = block_match(left, right, params.window, params.max_disparity)
     cloud = disparity_to_points(disparity, rig, params.step)
     binned = voxel_bin(cloud, params.voxel, params.min_points_per_voxel)
     plane = ransac_plane(binned, params.ransac_iterations, params.inlier_dist,

@@ -79,10 +79,10 @@ def _hash01(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray:
     return (h & np.uint64(0xFFFFFF)).astype(np.float64) / float(0x1000000)
 
 
-def surface_texture(pts: np.ndarray, scale: float = 0.004, amplitude: float = 25.0):
-    """High-frequency texture attached to world coordinates (stereo needs it)."""
-    cells = np.floor(pts / scale).astype(np.int64)
-    return (_hash01(cells[:, 0], cells[:, 1], cells[:, 2]) - 0.5) * 2.0 * amplitude
+def surface_texture(pts: np.ndarray):
+    """Luma offsets in [-25, 25) on 4 mm world-coordinate cells (stereo needs texture)."""
+    cells = np.floor(pts / 0.004).astype(np.int64)
+    return (_hash01(cells[:, 0], cells[:, 1], cells[:, 2]) - 0.5) * 2.0 * 25.0
 
 
 def render_birdview(scene: Scene, bspec: BirdviewSpec) -> Raster:

@@ -79,6 +79,14 @@ def test_approach_zero_when_at_ball_and_aligned():
     assert time_to_approach_ball((0.0, 0.0), FieldPose(0.0, 0.0, 0.0), ctx) == 0.0
 
 
+def test_at_ball_thresholds_are_constants():
+    with pytest.raises(TypeError):
+        ctx_at((0.0, 0.0), at_ball_dist=0.2)
+    with pytest.raises(TypeError):
+        ctx_at((0.0, 0.0), at_ball_angle=0.2)
+    assert PlanContext.at_ball_dist == 0.1 and PlanContext.at_ball_angle == 0.1
+
+
 def test_approach_walking_term():
     ctx = ctx_at((0.0, 0.0))
     robot = FieldPose(-1.0, 0.0, 0.0)  # 1 m behind the ball, facing it

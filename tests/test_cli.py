@@ -5,10 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+import fieldkit.cli
+import fieldkit.stereo_obstacles
 from fieldkit.cli import main
 from fieldkit.errors import InputError
 from fieldkit.field_model import FieldSpec
 from fieldkit.raster import read_pnm, write_ppm
+from fieldkit.stereo_obstacles import block_match
 
 
 SMALL_INTRINSICS = {"fx": 300.0, "fy": 300.0, "cx": 3.5, "cy": 3.5, "width": 8, "height": 8}
@@ -141,6 +144,8 @@ def test_count_too_large_for_memory_exit_code(tmp_path):
     (["detect-lines", "{img}", "--config"], {"vision": {"bogus": 1}}, 2),
     # the cost volume follows the image, so a huge max_disparity still fits
     (["stereo", "{img}", "{img}"], {**SMALL_RIG, "params": {"max_disparity": 10**9}}, 3),
+    # sigmas keys are SensorModel's fields; its gate and floor are constants
+    (["localize"], {"steps": [], "sigmas": {"sigma_d": 0.2, "gate": 1.0}}, 2),
 ])
 def test_malformed_document_exit_code(tmp_path, argv, doc, code):
     img = tmp_path / "img.ppm"
@@ -282,7 +287,7 @@ def test_malformed_noise_exit_code(tmp_path, command, noise):
                             ["--steps", 2])) == 2
 
 
-def test_stereo_subcommand(tmp_path):
+def test_stereo_subcommand(tmp_path, monkeypatch):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({
         "camera": {"extrinsics": {"position": [-0.4, 0.0, 0.35], "rpy": [0.0, 0.32, 0.0]},
@@ -300,8 +305,18 @@ def test_stereo_subcommand(tmp_path):
     }))
     out = tmp_path / "stereo.json"
     cloud = tmp_path / "cloud.xyz"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return block_match(*args, **kwargs)
+
+    # every block_match the command can reach: its own and the chain's
+    monkeypatch.setattr(fieldkit.cli, "block_match", counted)
+    monkeypatch.setattr(fieldkit.stereo_obstacles, "block_match", counted)
     assert run_cli("stereo", tmp_path / "pair_left.ppm", tmp_path / "pair_right.ppm",
                    rig, "--out", out, "--cloud", cloud) == 0
+    assert len(calls) == 1  # the obstacles and the cloud share one disparity map
     doc = json.loads(out.read_text())
     assert len(doc["clusters"]) == 2
     assert abs(np.linalg.norm(doc["plane"]["normal"]) - 1.0) < 1e-9

@@ -1,8 +1,10 @@
 import math
+from collections import deque
 
 import numpy as np
+import pytest
 
-from fieldkit.geometry import points_segments_distance
+from fieldkit.geometry import connected_components, points_segments_distance
 
 
 def test_shape_is_points_by_segments():
@@ -37,3 +39,51 @@ def test_batched_and_single_pair_calls_agree_bit_for_bit():
         for j in range(len(starts)):
             assert points_segments_distance(pts[i], starts[j], ends[j])[0, 0] == batch[i, j]
 
+
+def _components_by_search(n, pairs):
+    """Breadth-first search oracle: components discovered from node 0 upward."""
+    adjacent = [set() for _ in range(n)]
+    for i, j in pairs:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    seen = [False] * n
+    components = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue, members = deque([root]), []
+        while queue:
+            u = queue.popleft()
+            members.append(u)
+            for v in adjacent[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        components.append(sorted(members))
+    return components
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_connected_components_match_search_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 40))
+    # sparse to dense, with self-pairs and repeats drawn like any other pair
+    m = int(rng.integers(0, 2 * n + 1)) if n else 0
+    pairs = [tuple(int(v) for v in rng.integers(0, n, 2)) for _ in range(m)]
+    pairs += pairs[:m // 3]
+    got = connected_components(n, pairs)
+    assert got == _components_by_search(n, pairs)
+    # the order contract: ascending members, components by their smallest node
+    assert all(c == sorted(c) for c in got)
+    assert [c[0] for c in got] == sorted(c[0] for c in got)
+    assert sorted(v for c in got for v in c) == list(range(n))
+
+
+def test_connected_components_edge_cases():
+    assert connected_components(0, []) == []
+    assert connected_components(3, []) == [[0], [1], [2]]
+    assert connected_components(3, [(1, 1), (2, 2)]) == [[0], [1], [2]]
+    # the union direction does not change the grouping or its order
+    assert connected_components(5, [(4, 1), (1, 4), (3, 0)]) == [[0, 3], [1, 4], [2]]
+    assert connected_components(4, iter([(0, 3), (3, 2), (2, 1)])) == [[0, 1, 2, 3]]

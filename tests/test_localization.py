@@ -140,6 +140,13 @@ def test_likelihood_floor_gates_far_residuals(spec):
     assert observation_likelihood(obs, pose, spec, sm) == pytest.approx(sm.floor)
 
 
+@pytest.mark.parametrize("fixed", [{"gate": 1.0}, {"floor": 0.0}])
+def test_sensor_model_gate_and_floor_are_constants(fixed):
+    with pytest.raises(TypeError):
+        SensorModel(**fixed)
+    assert SensorModel().gate == 3.0 and SensorModel().floor == math.exp(-18.0)
+
+
 # --- update and resample -----------------------------------------------------
 
 def test_update_single_particle_unchanged(spec):

@@ -49,6 +49,26 @@ def test_parse_cycle_names_the_cycle():
     assert set(err.value.cycle) >= {"a", "b"}
 
 
+@pytest.mark.parametrize("tail", ["d", "_d"])  # "_d" sorts before the loop
+def test_cycle_error_names_exactly_the_loop(tail):
+    # a reads b's output, b reads c's and c reads a's; the tail only reads
+    # the loop and e is independent, so neither belongs to the cycle
+    with pytest.raises(CycleError) as err:
+        parse_pipeline(doc([
+            {"name": tail, "inputs": ["sc"], "outputs": ["sd"]},
+            {"name": "a", "inputs": ["sb"], "outputs": ["sa"]},
+            {"name": "b", "inputs": ["sc", "frame"], "outputs": ["sb"]},
+            {"name": "c", "inputs": ["sa"], "outputs": ["sc"]},
+            {"name": "e", "inputs": ["frame"], "outputs": ["se"]},
+        ]))
+    cycle = err.value.cycle
+    assert cycle[0] == cycle[-1] and len(cycle) == 4
+    rotations = [["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]]
+    assert cycle[:-1] in rotations
+    assert tail not in cycle and "e" not in cycle
+    assert str(err.value) == "dependency cycle: " + " -> ".join(cycle)
+
+
 def test_parse_unknown_slot():
     with pytest.raises(UnknownSlot) as err:
         parse_pipeline(doc([{"name": "a", "inputs": ["foo"], "outputs": ["x"]}]))
