@@ -138,10 +138,13 @@ def _noise_from_doc(doc, args):
     """Sensor model and odometry noise of a trajectory or scene document.
 
     Sigmas come from the config's "sigmas", overridden key by key by the
-    document's; "odom_noise" must be three finite non-negative numbers.
+    document's, a null "sigmas" being an absent one; "odom_noise" must be
+    three finite non-negative numbers.
     """
+    config_sig, doc_sig = ({} if d.get("sigmas") is None else d["sigmas"]
+                           for d in (_config(args), doc))
     try:
-        sig = {**_config(args).get("sigmas", {}), **doc.get("sigmas", {})}
+        sig = {**config_sig, **doc_sig}
         raw = doc.get("odom_noise", (0.02, 0.02, 0.02))
         odo = tuple(float(v) for v in raw) if isinstance(raw, (list, tuple)) else ()
     except (TypeError, ValueError) as exc:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DegenerateCloud, DimensionMismatch, InputError
 from .geometry import connected_components
-from .line_vision import integral_image, rect_sum
 from .raster import Raster
 
 
@@ -85,6 +84,29 @@ class ObstacleCluster:
     max_protrusion: float
 
 
+def _run_sum(a: np.ndarray, n: int, step: int) -> np.ndarray:
+    """out[i] = a[i] + a[i + step] + ... + a[i + (n - 1) step] for a 1-D a.
+
+    The length is len(a) - (n - 1) step, which must be positive. Doubling:
+    s_2k[i] = s_k[i] + s_k[i + k step], and the sum of n adds the s_k of n's
+    set bits k at offsets 0, k1, k1 + k2, ... steps, so O(log n) shifted
+    adds in a's dtype. On a flattened 2-D array, step = row length sums
+    along axis 0 and step = 1 along axis 1, where the sums that run into the
+    next row are the caller's to discard.
+    """
+    count = len(a) - (n - 1) * step
+    out, offset, part, k = None, 0, a, 1
+    while k <= n:
+        if n & k:
+            piece = part[offset:offset + count]
+            out = piece if out is None else out + piece
+            offset += k * step
+        if 2 * k <= n:
+            part = part[:-k * step] + part[k * step:]
+        k *= 2
+    return out
+
+
 def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
                 uniqueness: float = 0.15) -> np.ndarray:
     """Integer disparity map minimizing windowed SAD.
@@ -92,9 +114,16 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     Returns int32 (H, W); invalid pixels are -1. Flat-cost ties resolve to
     the smallest disparity. Two validity filters: the best cost must beat
     the best outside +/-1 disparity by the uniqueness margin, and the
-    left-right consistency check tolerates 1 px. One int64 cost volume holds
-    min(max_disparity + 1, W - window + 1) layers, at least one: a wider
-    disparity has no window inside the image, so memory follows the image.
+    left-right consistency check tolerates 1 px.
+
+    Memory is O(H W) with no cost volume: one pass over the
+    min(max_disparity + 1, W - window + 1) disparities packs each SAD c into
+    the key (c << shift) | d, so an elementwise minimum keeps the smallest
+    cost and, among equal costs, the smallest d. Running minima of the keys
+    give the left best, the right best (SAD_r(u, d) = SAD_l(u + d, d)) and,
+    for the uniqueness test, the four smallest keys per pixel: at most two
+    of the last three are the winner's neighbours, so they hold the best key
+    outside +/-1 of it. Keys are int32 when they fit, else int64.
     """
     if left.luma.shape != right.luma.shape:
         raise DimensionMismatch("stereo pair shapes differ")
@@ -102,41 +131,60 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
         raise InputError("window must be odd and positive")
     if max_disparity < 0:
         raise InputError("max_disparity must be non-negative")
-    l = left.luma.astype(np.int32)
-    r = right.luma.astype(np.int32)
-    h, w = l.shape
-    half = window // 2
-    big = np.int64(1) << 40
-    inner, outer = slice(None, -window), slice(window, None)
-
-    # cost[d][v, u] = SAD of left(u) vs right(u - d), big where either window
-    # leaves the image; the right view's SAD_r(u, d) is SAD_l(u + d, d)
+    h, w = left.luma.shape
     n_d = max_disparity + 1
-    cost = np.full((max(1, min(n_d, w - window + 1)), h, w), big, dtype=np.int64)
-    best_r = np.full((h, w), big, dtype=np.int64)
-    disp_r = np.zeros((h, w), dtype=np.int32)
-    for d in range(len(cost)):
-        table = integral_image(np.abs(l[:, d:] - r[:, :w - d]))
-        cost[d, half:h - half, d + half:w - half] = rect_sum(table, inner, outer, inner, outer)
-        better = cost[d, :, d:] < best_r[:, :w - d]  # strict: ties keep the smaller d
-        best_r[:, :w - d][better] = cost[d, :, d:][better]
-        disp_r[:, :w - d][better] = d
+    n_layers = min(n_d, w - window + 1)
+    disparity = np.full((h, w), -1, dtype=np.int32)
+    if h < window or n_layers < 1:
+        return disparity  # no window fits inside the image
+    half = window // 2
+    shift = (n_layers - 1).bit_length()
+    mask = (1 << shift) - 1
+    dtype = np.int32 if (255 * window * window + 1) << shift < 2**31 else np.int64
+    # no window inside the image; its low bits are all ones, so | d keeps it
+    none = np.iinfo(dtype).max
+    l = left.luma.astype(dtype).ravel()
+    r = right.luma.astype(dtype).ravel()
 
-    disp_l = np.argmin(cost, axis=0).astype(np.int32)
-    best_l = np.take_along_axis(cost, disp_l[None], axis=0)[0]
-    valid_l = best_l < big
-    if uniqueness > 0 and n_d > 3:
-        for offset in (-1, 0, 1):  # a clipped index stays within +/-1 of disp_l
-            np.put_along_axis(cost, np.clip(disp_l[None] + offset, 0, len(cost) - 1), big, axis=0)
-        second = cost.min(axis=0)
-        valid_l &= ~((second < big) & (best_l * (1.0 + uniqueness) > second))
+    # state covers the rows whose window fits, flattened with row stride w
+    n_rows = h - window + 1
+    key = np.full((n_rows, w), none, dtype=dtype)
+    flat = key.ravel()
+    best = np.full((4 if uniqueness > 0 and n_d > 3 else 1, flat.size), none, dtype=dtype)
+    right_best = np.full(flat.size, none, dtype=dtype)
+    scratch = np.empty_like(flat)
+    for d in range(n_layers):
+        # pixel i = j + d against right pixel j; columns below d wrap a row
+        diff = np.abs(l[d:] - r[:l.size - d])
+        diff <<= shift  # so the sums come out as c << shift
+        sums = _run_sum(_run_sum(diff, window, w), window, 1)
+        # the window whose top-left is pixel j + d centres on key[j + d + half]
+        flat[d + half:d + half + sums.size] = sums
+        key[:, :d + half] = none  # its window leaves the right image
+        key[:, w - half:] = none  # its window leaves both images
+        flat |= d
+        for i in range(len(best) - 1, 0, -1):  # sorted insertion: min(b_i, max(b_i-1, key))
+            np.minimum(best[i], np.maximum(best[i - 1], flat, out=scratch), out=best[i])
+        np.minimum(best[0], flat, out=best[0])
+        # right pixel j sees left pixel j + d; a wrap into the next row lands on none
+        np.minimum(right_best[:flat.size - d], flat[d:], out=right_best[:flat.size - d])
 
-    rows = np.arange(h)[:, None]
+    best = best.reshape(len(best), n_rows, w)
+    valid_l = best[0] != none
+    disp_l = best[0] & mask
+    if len(best) > 1:
+        near = np.abs((best[1:3] & mask) - disp_l) <= 1
+        second = np.where(near[0], np.where(near[1], best[3], best[2]), best[1])
+        ambiguous = (best[0] >> shift) * (1.0 + uniqueness) > (second >> shift)
+        valid_l &= (second == none) | ~ambiguous
+
+    rows = np.arange(n_rows)[:, None]
     ur = np.arange(w) - disp_l
     ur_ok = valid_l & (ur >= 0)
-    ur_c = np.where(ur_ok, ur, 0)
-    consistent = ur_ok & (best_r[rows, ur_c] < big) & (np.abs(disp_l - disp_r[rows, ur_c]) <= 1)
-    return np.where(consistent, disp_l, -1).astype(np.int32)
+    matched = right_best.reshape(n_rows, w)[rows, np.where(ur_ok, ur, 0)]
+    consistent = ur_ok & (matched != none) & (np.abs(disp_l - (matched & mask)) <= 1)
+    disparity[half:h - half] = np.where(consistent, disp_l, -1)
+    return disparity
 
 
 def disparity_to_points(disparity: np.ndarray, rig: StereoRig, step: int = 1) -> PointCloud:
@@ -163,9 +211,16 @@ def voxel_bin(pc: PointCloud, voxel: float, min_points_per_voxel: int = 1) -> Po
     if len(pc) == 0:
         return PointCloud(np.zeros((0, 3)))
     keys = np.floor(pc.points / voxel).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    sums = np.zeros((len(counts), 3))
-    np.add.at(sums, inverse, pc.points)
+    # voxel ids in np.unique(keys, axis=0)'s lexicographic order
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    counts = np.bincount(inverse)
+    # bincount adds each voxel's points in index order, as np.add.at does
+    sums = np.column_stack([np.bincount(inverse, weights=pc.points[:, j]) for j in range(3)])
     centroids = sums / counts[:, None]
     return PointCloud(centroids[counts >= min_points_per_voxel])
 

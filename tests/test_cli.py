@@ -287,6 +287,23 @@ def test_malformed_noise_exit_code(tmp_path, command, noise):
                             ["--steps", 2])) == 2
 
 
+@pytest.mark.parametrize("command", ["localize", "gen-trajectory"])
+@pytest.mark.parametrize("where", ["document", "config", "both"])
+def test_null_sigmas_is_absent(tmp_path, command, where):
+    # like every other section, "sigmas": null reads as no "sigmas" key
+    steps = {"steps": [{"odometry": [0.1, 0.0, 0.0], "observations": []}]}
+    flags = ["--particles", 50] if command == "localize" else ["--steps", 2]
+    outputs = []
+    for sigmas in ({}, {"sigmas": None}):
+        doc, config = tmp_path / "doc.json", tmp_path / "config.json"
+        doc.write_text(json.dumps({**steps, **(sigmas if where != "config" else {})}))
+        config.write_text(json.dumps(sigmas if where != "document" else {}))
+        out = tmp_path / f"out{len(outputs)}.json"
+        assert run_cli("--config", config, command, doc, "--out", out, *flags) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_stereo_subcommand(tmp_path, monkeypatch):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({

@@ -1,13 +1,18 @@
-"""block_match on one cost volume against the three-volume version it replaced.
+"""block_match and voxel_bin against the implementations they replaced.
 
-`block_match` below is the earlier implementation, kept verbatim as an
+`block_match` below is an earlier implementation, kept verbatim as an
 independent oracle: its own summed-area table and four-corner gather per
 disparity, a separate right-view volume shifted from the left one, and a
-masked copy of the left volume for the uniqueness test. The one-volume
-version sums the same int64 costs and applies the same tie, uniqueness and
-consistency rules, so its disparity maps must match the oracle's bit for
-bit.
+masked copy of the left volume for the uniqueness test. The library's
+version holds no cost volume but applies the same tie, uniqueness and
+consistency rules to the same integer costs, so its disparity maps must
+match the oracle's bit for bit. `voxel_bin` is the `np.unique(axis=0)` and
+`np.add.at` version, kept verbatim: the library's sort-based binning visits
+the voxels in the same order and adds each voxel's points in the same
+order, so its centroids must match bit for bit too.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +23,13 @@ from fieldkit import stereo_obstacles
 from fieldkit.birdview import CameraExtrinsics
 from fieldkit.errors import DimensionMismatch, InputError
 from fieldkit.raster import Raster
-from fieldkit.stereo_obstacles import StereoParams, StereoRig, detect_obstacles
+from fieldkit.stereo_obstacles import (
+    PointCloud,
+    StereoParams,
+    StereoRig,
+    detect_obstacles,
+    disparity_to_points,
+)
 from fieldkit.synth import Obstacle, Scene, render_stereo
 
 
@@ -102,6 +113,22 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     return np.where(consistent, disp_l, -1).astype(np.int32)
 
 
+
+# --- oracle: np.unique rows and np.add.at, verbatim ----------------------------
+
+def voxel_bin(pc: PointCloud, voxel: float, min_points_per_voxel: int = 1) -> PointCloud:
+    """Centroid per occupied voxel; voxels with too few points are dropped."""
+    if voxel <= 0:
+        raise InputError("voxel size must be positive")
+    if len(pc) == 0:
+        return PointCloud(np.zeros((0, 3)))
+    keys = np.floor(pc.points / voxel).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, inverse, pc.points)
+    centroids = sums / counts[:, None]
+    return PointCloud(centroids[counts >= min_points_per_voxel])
+
 # --- fixtures ------------------------------------------------------------------
 
 WINDOWS = (1, 3, 9, 15)
@@ -131,6 +158,18 @@ def _rendered_pair(seed, noise_sigma):
                          SMALL_RIG, EXTRINSICS)
 
 
+def _stripe_pair(period, seed):
+    # low-contrast stripes with a brightness offset between the views: the
+    # true match costs the offset, d1 +/- 1 little more and every period
+    # repeats the minimum, so d1 +/- 1 often hold the second and third keys
+    # and only the fourth is the far near-tie the uniqueness test needs
+    rng = np.random.default_rng(seed)
+    base = 128 + 1.5 * np.cos(2 * np.pi * np.arange(56) / period) + rng.normal(0, 2, (20, 56))
+    noise = rng.normal(0, 1, (2, 20, 48))
+    return tuple(Raster.from_gray(np.clip(np.rint(img + n), 0, 255).astype(np.uint8))
+                 for img, n in zip((base[:, :48], base[:, 5:53] + 6), noise))
+
+
 PAIRS = {
     "boxes-seed1": lambda: _rendered_pair(1, 0.0),
     "boxes-seed2-noise": lambda: _rendered_pair(2, 4.0),
@@ -138,6 +177,8 @@ PAIRS = {
     "smaller-than-window-7x9": lambda: _random_pair(4, 7, 9),
     "narrow-24x12": lambda: _random_pair(5, 24, 12),
     "flat": lambda: (Raster.from_gray(np.full((20, 30), 128, np.uint8)),) * 2,
+    "stripes-period2": lambda: _stripe_pair(2, 1),
+    "stripes-period3": lambda: _stripe_pair(3, 1),
 }
 
 
@@ -192,6 +233,37 @@ def test_volume_follows_the_image_not_max_disparity():
     assert np.array_equal(disp, block_match(left, right, 3, 7))
 
 
+def test_block_match_memory_is_bounded(criterion_7_pair):
+    # the 65-layer int64 cost volume alone was 40 MB on this 320x240 pair
+    stereo_obstacles.block_match(*criterion_7_pair, 9, 64)
+    tracemalloc.start()
+    try:
+        stereo_obstacles.block_match(*criterion_7_pair, 9, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"block_match peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("axis", (0, 1))
+def test_run_sum_matches_every_window(axis):
+    a = np.random.default_rng(9).integers(0, 256, (17, 17)).astype(np.int32)
+    a = a[:13] if axis == 1 else a[:, :13]  # the other axis is not square
+    rows, cols = a.shape
+    for n in range(1, 18):
+        step = cols if axis == 0 else 1
+        got = stereo_obstacles._run_sum(a.ravel(), n, step)
+        if axis == 0:
+            got = got.reshape(rows - n + 1, cols)
+            want = np.array([a[i:i + n].sum(axis=0) for i in range(rows - n + 1)])
+        else:
+            # sums starting in the last n - 1 columns run into the next row
+            got = got[np.arange(rows)[:, None] * cols + np.arange(cols - n + 1)]
+            want = np.array([a[:, j:j + n].sum(axis=1) for j in range(cols - n + 1)]).T
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, want), n
+
+
 # --- property ------------------------------------------------------------------
 
 @st.composite
@@ -214,3 +286,59 @@ def stereo_case(draw):
 @given(stereo_case())
 def test_block_match_property(case):
     assert_same_disparity(*case)
+
+
+# --- voxel_bin -----------------------------------------------------------------
+
+def assert_same_voxels(points, voxel, min_points_per_voxel):
+    pc = PointCloud(points)
+    got = stereo_obstacles.voxel_bin(pc, voxel, min_points_per_voxel).points
+    want = voxel_bin(pc, voxel, min_points_per_voxel).points
+    assert got.shape == want.shape and np.array_equal(got, want), (voxel, min_points_per_voxel)
+
+
+@pytest.mark.parametrize("pair", ("boxes-seed1", "boxes-seed2-noise", "boxes-seed3-noise"))
+def test_voxel_bin_matches_oracle_on_rendered_clouds(pair):
+    disparity = block_match(*PAIRS[pair](), 9, 64, 0.15)
+    for step in (1, 2):
+        points = disparity_to_points(disparity, SMALL_RIG, step).points
+        assert len(points) > 10
+        for voxel in (0.01, 0.03, 0.05):
+            for m in (1, 2, 3):
+                assert_same_voxels(points, voxel, m)
+
+
+def test_voxel_bin_matches_oracle_on_the_full_rig(criterion_7_pair):
+    disparity = stereo_obstacles.block_match(*criterion_7_pair, 9, 64)
+    points = disparity_to_points(disparity, FULL_RIG, 2).points
+    for m in (1, 2, 3):
+        assert_same_voxels(points, 0.03, m)
+
+
+@pytest.mark.parametrize("points", [
+    np.zeros((0, 3)),
+    np.array([[0.3, -0.2, 1.1]]),
+    np.array([[-0.01, -0.01, -0.01], [0.01, 0.01, 0.01], [-0.04, 0.0, -0.06]]),
+    np.repeat(np.array([[-0.12, 0.07, 0.5], [0.2, -0.33, -1.0]]), 3, axis=0),
+], ids=["empty", "one-point", "negative", "duplicates"])
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_voxel_bin_matches_oracle_on_edge_cases(points, m):
+    assert_same_voxels(points, 0.05, m)
+
+
+@st.composite
+def cloud_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 300))
+    points = rng.normal(draw(st.sampled_from((0.0, -1.0, 2.0))),
+                        draw(st.sampled_from((0.01, 0.1, 1.0))), (n, 3))
+    if n and draw(st.booleans()):  # exact duplicates
+        points = np.vstack([points, points[rng.integers(0, n, n)]])
+    voxel = draw(st.sampled_from((0.005, 0.03, 0.1, 1.0)))
+    return points, voxel, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cloud_case())
+def test_voxel_bin_property(case):
+    assert_same_voxels(*case)
