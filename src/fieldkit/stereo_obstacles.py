@@ -107,6 +107,12 @@ def _run_sum(a: np.ndarray, n: int, step: int) -> np.ndarray:
     return out
 
 
+def _key_dtype(window: int, shift: int):
+    """int32 while every key (c << shift) | d, with c <= 255 window^2, stays
+    below int32's max (the sentinel), else int64."""
+    return np.int32 if (255 * window * window + 1) << shift < 2**31 else np.int64
+
+
 def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
                 uniqueness: float = 0.15) -> np.ndarray:
     """Integer disparity map minimizing windowed SAD.
@@ -123,7 +129,7 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     give the left best, the right best (SAD_r(u, d) = SAD_l(u + d, d)) and,
     for the uniqueness test, the four smallest keys per pixel: at most two
     of the last three are the winner's neighbours, so they hold the best key
-    outside +/-1 of it. Keys are int32 when they fit, else int64.
+    outside +/-1 of it.
     """
     if left.luma.shape != right.luma.shape:
         raise DimensionMismatch("stereo pair shapes differ")
@@ -140,7 +146,7 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     half = window // 2
     shift = (n_layers - 1).bit_length()
     mask = (1 << shift) - 1
-    dtype = np.int32 if (255 * window * window + 1) << shift < 2**31 else np.int64
+    dtype = _key_dtype(window, shift)
     # no window inside the image; its low bits are all ones, so | d keeps it
     none = np.iinfo(dtype).max
     l = left.luma.astype(dtype).ravel()

@@ -113,7 +113,6 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     return np.where(consistent, disp_l, -1).astype(np.int32)
 
 
-
 # --- oracle: np.unique rows and np.add.at, verbatim ----------------------------
 
 def voxel_bin(pc: PointCloud, voxel: float, min_points_per_voxel: int = 1) -> PointCloud:
@@ -128,6 +127,7 @@ def voxel_bin(pc: PointCloud, voxel: float, min_points_per_voxel: int = 1) -> Po
     np.add.at(sums, inverse, pc.points)
     centroids = sums / counts[:, None]
     return PointCloud(centroids[counts >= min_points_per_voxel])
+
 
 # --- fixtures ------------------------------------------------------------------
 
@@ -245,13 +245,32 @@ def test_block_match_memory_is_bounded(criterion_7_pair):
     assert peak <= 20e6, f"block_match peak {peak / 1e6:.1f} MB"
 
 
+def test_key_dtype_is_int32_while_keys_fit():
+    assert stereo_obstacles._key_dtype(9, 16) is np.int32  # 255 * 81 + 1 = 20656 < 2^15
+    assert stereo_obstacles._key_dtype(9, 17) is np.int64
+    assert stereo_obstacles._key_dtype(2901, 0) is np.int32  # 255 * 2901^2 < 2^31 - 1
+    assert stereo_obstacles._key_dtype(2903, 0) is np.int64
+    assert stereo_obstacles._key_dtype(2901, 1) is np.int64
+
+
+@pytest.mark.parametrize("pair", ("boxes-seed2-noise", "narrow-24x12", "stripes-period3"))
+def test_int64_keys_match_oracle(pair, monkeypatch):
+    # int64 keys need a window or a width far beyond what the volume oracle
+    # can hold, so force them on the grid's pairs
+    monkeypatch.setattr(stereo_obstacles, "_key_dtype", lambda window, shift: np.int64)
+    left, right = PAIRS[pair]()
+    for window in (1, 9):
+        for max_disparity in (3, 64):
+            assert_same_disparity(left, right, window, max_disparity, 0.15)
+
 @pytest.mark.parametrize("axis", (0, 1))
 def test_run_sum_matches_every_window(axis):
+    # n runs up to the summed axis's length, 17; the other axis has 13
     a = np.random.default_rng(9).integers(0, 256, (17, 17)).astype(np.int32)
-    a = a[:13] if axis == 1 else a[:, :13]  # the other axis is not square
+    a = a[:13] if axis == 1 else a[:, :13]
     rows, cols = a.shape
+    step = cols if axis == 0 else 1
     for n in range(1, 18):
-        step = cols if axis == 0 else 1
         got = stereo_obstacles._run_sum(a.ravel(), n, step)
         if axis == 0:
             got = got.reshape(rows - n + 1, cols)
