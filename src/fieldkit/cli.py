@@ -327,18 +327,18 @@ def cmd_pipeline_bench(args):
 
     registry = {f.name: sleeper(f) for f in spec.filters}
 
-    def bench(serial):
+    def bench(workers):
         counts.update(dict.fromkeys(registry, 0))
-        ctx = RunContext(serial=serial, max_workers=args.workers)
+        ctx = RunContext(max_workers=workers)
         try:
             return run_frames(plan, registry, args.frames, ctx,
                               frame_sources=lambda k: {s: k for s in spec.source_slots})
         finally:
             ctx.close()
 
-    parallel_times = bench(serial=False)
+    parallel_times = bench(args.workers)
     parallel_counts = dict(counts)
-    serial_times = bench(serial=True)
+    serial_times = bench(1)
     speedup = sum(serial_times) / max(sum(parallel_times), 1e-12)
     for k, (tp, ts) in enumerate(zip(parallel_times, serial_times)):
         print(f"frame {k}: parallel {tp * 1000:.1f} ms, serial {ts * 1000:.1f} ms", file=sys.stderr)

@@ -26,6 +26,10 @@ LINE = "line"
 CORNER = "corner"
 POINT = "point"
 
+# posterior_support's histogram: square position cells (m), orientation bins
+SUPPORT_XY_BIN = 0.25
+SUPPORT_THETA_BINS = 72
+
 
 @dataclass(frozen=True)
 class RobotObservation:
@@ -354,16 +358,14 @@ def estimate_pose(particles: ParticleSet):
     return FieldPose(x, y, theta), (math.sqrt(var_xy), sigma_theta)
 
 
-def posterior_support(particles: ParticleSet, xy_bin: float = 0.25,
-                      theta_bins: int = 72, half_length: float = 4.5,
-                      half_width: float = 3.0):
+def posterior_support(particles: ParticleSet, spec: FieldSpec):
     """Effective posterior support: (position area m^2, orientation width rad).
 
-    Both are histogram perplexities (exp of entropy) scaled to physical
-    units. Unlike a circular standard deviation, these stay small for a
-    sharp multimodal posterior (four orientation modes at 90 degrees is a
-    narrow support, not a near-uniform circle), which is what makes the
-    corner/line/point information ordering measurable.
+    Both are histogram perplexities (exp of entropy) over spec's whole field,
+    scaled to physical units. Unlike a circular standard deviation, these
+    stay small for a sharp multimodal posterior (four orientation modes at
+    90 degrees is a narrow support, not a near-uniform circle), which is
+    what makes the corner/line/point information ordering measurable.
     """
     w = particles.weights / particles.weights.sum()
     poses = particles.poses
@@ -372,15 +374,16 @@ def posterior_support(particles: ParticleSet, xy_bin: float = 0.25,
         nz = p[p > 0]
         return math.exp(-(nz * np.log(nz)).sum())
 
+    b = SUPPORT_XY_BIN
     hxy, _, _ = np.histogram2d(
         poses[:, 0], poses[:, 1],
-        bins=[np.arange(-half_length, half_length + xy_bin, xy_bin),
-              np.arange(-half_width, half_width + xy_bin, xy_bin)],
+        bins=[np.arange(-spec.half_length, spec.half_length + b, b),
+              np.arange(-spec.half_width, spec.half_width + b, b)],
         weights=w)
-    area = perplexity(hxy.ravel() / hxy.sum()) * xy_bin * xy_bin
-    hth, _ = np.histogram(np.mod(poses[:, 2], 2 * math.pi), bins=theta_bins,
+    area = perplexity(hxy.ravel() / hxy.sum()) * b * b
+    hth, _ = np.histogram(np.mod(poses[:, 2], 2 * math.pi), bins=SUPPORT_THETA_BINS,
                           range=(0.0, 2 * math.pi), weights=w)
-    width = perplexity(hth / hth.sum()) * (2 * math.pi / theta_bins)
+    width = perplexity(hth / hth.sum()) * (2 * math.pi / SUPPORT_THETA_BINS)
     return area, width
 
 

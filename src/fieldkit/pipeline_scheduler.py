@@ -8,6 +8,7 @@ frame; on other frames their output slots retain the last produced values.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -150,7 +151,6 @@ def compute_batches(spec: PipelineSpec) -> BatchPlan:
 class ExecutionRecord:
     filter_name: str
     frame_index: int
-    batch_index: int
     start: float
     end: float
 
@@ -161,19 +161,18 @@ class RunContext:
 
     Slot payloads must be treated as immutable once published for a frame;
     skipped filters leave their previous outputs (EMPTY before first run).
-    The log holds the latest LOG_LIMIT execution records. The worker pool
-    is created on the first parallel batch and reused until close().
+    The log holds the latest LOG_LIMIT execution records. Batches run on a
+    pool of max_workers threads (None: one per CPU), made on first use and
+    reused until close(); max_workers=1 runs every filter inline. The first
+    failure in batch order is blamed: an InputError propagates, any other
+    exception becomes FilterError(name).
     """
 
-    store: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
     max_workers: int | None = None
-    serial: bool = False
+    store: dict = field(default_factory=dict, init=False)
     log: deque = field(default_factory=lambda: deque(maxlen=LOG_LIMIT), init=False)
     _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False)
-
-    def reset_for(self, spec: PipelineSpec) -> None:
-        self.store = {slot: EMPTY for f in spec.filters for slot in f.outputs}
 
     def pool(self) -> ThreadPoolExecutor:
         """The worker pool of the parallel batches, created on first use."""
@@ -192,10 +191,12 @@ def run_frame(plan: BatchPlan, registry: dict, frame_index: int,
               context: RunContext) -> dict:
     """Execute one frame through the batch plan; returns the slot store.
 
-    Within a batch the due filters run concurrently and all complete before
-    the next batch starts. A filter is due iff frame_index % divider == 0.
-    A raising filter aborts the frame: FilterError propagates and later
-    batches never start.
+    A filter is due iff frame_index % divider == 0. Due filters run inline,
+    or on the context's pool when a batch has two or more and max_workers
+    is not 1; a batch publishes only once it has ended. The first failure in
+    batch order aborts the frame: an InputError propagates, any other
+    exception becomes FilterError(name). Inline, the batch's later filters
+    never run; later batches never start.
     """
     if frame_index < 0:
         raise InputError("frame_index must be >= 0")
@@ -206,15 +207,12 @@ def run_frame(plan: BatchPlan, registry: dict, frame_index: int,
         raise InputError(f"registry missing filters: {missing}")
     store = context.store
     if not store:
-        context.reset_for(spec)
-        store = context.store
+        store.update(dict.fromkeys([*spec.producer_of(), *spec.source_slots], EMPTY))
     for slot in spec.source_slots:
         if slot in context.sources:
             store[slot] = context.sources[slot]
-        elif slot not in store:
-            store[slot] = EMPTY
 
-    def execute(name, batch_index):
+    def execute(name):
         f = by_name[name]
         inputs = {slot: store[slot] for slot in f.inputs}
         start = time.perf_counter()
@@ -224,49 +222,39 @@ def run_frame(plan: BatchPlan, registry: dict, frame_index: int,
             if not isinstance(result, dict) or set(result) != set(f.outputs):
                 raise InputError(
                     f"filter {name!r} must return a dict with keys {sorted(f.outputs)}")
-        context.log.append(ExecutionRecord(name, frame_index, batch_index, start, end))
+        context.log.append(ExecutionRecord(name, frame_index, start, end))
         return result or {}
 
-    for batch_index, batch in enumerate(plan.batches):
+    for batch in plan.batches:
         due = [name for name in batch
                if frame_index % by_name[name].frequency_divider == 0]
-        results = {}
-        if context.serial or len(due) <= 1:
-            for name in due:
-                try:
-                    results[name] = execute(name, batch_index)
-                except InputError:
-                    raise
-                except Exception as exc:
-                    raise FilterError(name, exc) from exc
+        if len(due) > 1 and context.max_workers != 1:
+            futures = [context.pool().submit(execute, name) for name in due]
+            wait(futures)  # the whole batch ends before it publishes or raises
+            outcomes = [future.result for future in futures]
         else:
-            pool = context.pool()
-            futures = {name: pool.submit(execute, name, batch_index) for name in due}
-            wait(futures.values())  # the whole batch ends before it publishes or raises
-            error = None
-            for name in due:  # deterministic blame order
-                try:
-                    results[name] = futures[name].result()
-                except InputError:
-                    raise
-                except Exception as exc:
-                    if error is None:
-                        error = FilterError(name, exc)
-            if error is not None:
-                raise error
+            outcomes = [functools.partial(execute, name) for name in due]
+        results = []
+        for name, outcome in zip(due, outcomes):  # batch order decides the blame
+            try:
+                results.append(outcome())
+            except InputError:
+                raise
+            except Exception as exc:
+                raise FilterError(name, exc) from exc
         # publish after the whole batch completes
-        for name, result in results.items():
+        for result in results:
             store.update(result)
     return store
 
 
 def run_frames(plan: BatchPlan, registry: dict, n_frames: int,
-               context: RunContext, frame_sources=None) -> list[float]:
-    """Run frames 0..n_frames-1, returning per-frame wall times (seconds)."""
+               context: RunContext, frame_sources) -> list[float]:
+    """Run frames 0..n_frames-1, each with sources frame_sources(k),
+    returning per-frame wall times (seconds)."""
     times = []
     for k in range(n_frames):
-        if frame_sources is not None:
-            context.sources = frame_sources(k)
+        context.sources = frame_sources(k)
         t0 = time.perf_counter()
         run_frame(plan, registry, k, context)
         times.append(time.perf_counter() - t0)

@@ -16,6 +16,9 @@ from .errors import DegenerateCloud, DimensionMismatch, InputError
 from .geometry import connected_components
 from .raster import Raster
 
+# block_match's best SAD, times 1 + this, must not exceed the best outside +/-1
+UNIQUENESS_MARGIN = 0.15
+
 
 @dataclass(frozen=True)
 class StereoRig:
@@ -113,13 +116,12 @@ def _key_dtype(window: int, shift: int):
     return np.int32 if (255 * window * window + 1) << shift < 2**31 else np.int64
 
 
-def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
-                uniqueness: float = 0.15) -> np.ndarray:
+def block_match(left: Raster, right: Raster, window: int, max_disparity: int) -> np.ndarray:
     """Integer disparity map minimizing windowed SAD.
 
     Returns int32 (H, W); invalid pixels are -1. Flat-cost ties resolve to
     the smallest disparity. Two validity filters: the best cost must beat
-    the best outside +/-1 disparity by the uniqueness margin, and the
+    the best outside +/-1 disparity by UNIQUENESS_MARGIN, and the
     left-right consistency check tolerates 1 px.
 
     Memory is O(H W) with no cost volume: one pass over the
@@ -156,7 +158,7 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     n_rows = h - window + 1
     key = np.full((n_rows, w), none, dtype=dtype)
     flat = key.ravel()
-    best = np.full((4 if uniqueness > 0 and n_d > 3 else 1, flat.size), none, dtype=dtype)
+    best = np.full((4 if n_d > 3 else 1, flat.size), none, dtype=dtype)
     right_best = np.full(flat.size, none, dtype=dtype)
     scratch = np.empty_like(flat)
     for d in range(n_layers):
@@ -181,7 +183,7 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int,
     if len(best) > 1:
         near = np.abs((best[1:3] & mask) - disp_l) <= 1
         second = np.where(near[0], np.where(near[1], best[3], best[2]), best[1])
-        ambiguous = (best[0] >> shift) * (1.0 + uniqueness) > (second >> shift)
+        ambiguous = (best[0] >> shift) * (1.0 + UNIQUENESS_MARGIN) > (second >> shift)
         valid_l &= (second == none) | ~ambiguous
 
     rows = np.arange(n_rows)[:, None]

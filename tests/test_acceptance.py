@@ -230,7 +230,7 @@ def test_criterion_4_localization_convergence_and_ambiguity():
             init = ParticleSet.uniform(SPEC, 4000, np.random.default_rng(seed * 7 + 1))
             post = update_and_resample(init, [nearest[kind][1]], SPEC, sm,
                                        np.random.default_rng(seed * 7 + 2))
-            support[kind] = posterior_support(post)
+            support[kind] = posterior_support(post, SPEC)
         cv = support[CORNER][0] * support[CORNER][1]
         lv = support[LINE][0] * support[LINE][1]
         if cv < lv and support[LINE][1] < support[POINT][1]:
@@ -321,7 +321,7 @@ def test_criterion_6_scheduler():
             "filters": [{"name": "half", "inputs": ["frame"], "outputs": ["o"],
                          "divider": 2}]}))
         plan2 = compute_batches(spec2)
-        ctx = RunContext(serial=True)
+        ctx = RunContext(max_workers=1)
         count = [0]
 
         def fn(inputs, count=count):
@@ -348,10 +348,13 @@ def test_criterion_6_scheduler():
     registry = {f["name"]: sleeper(f["outputs"][0]) for f in filters}
     ctx = RunContext(max_workers=4)
     ctx.sources = {"frame": 0}
-    t0 = time.perf_counter()
-    run_frame(plan3, registry, 0, ctx)
-    parallel = time.perf_counter() - t0
-    ctx_s = RunContext(serial=True)
+    try:
+        t0 = time.perf_counter()
+        run_frame(plan3, registry, 0, ctx)
+        parallel = time.perf_counter() - t0
+    finally:
+        ctx.close()
+    ctx_s = RunContext(max_workers=1)
     ctx_s.sources = {"frame": 0}
     t0 = time.perf_counter()
     run_frame(plan3, registry, 0, ctx_s)
@@ -375,7 +378,10 @@ def test_criterion_6_scheduler():
         rctx.sources = {"frame": 0}
         registry = {f.name: (lambda outs: lambda inputs: {o: 1 for o in outs})(f.outputs)
                     for f in rspec.filters}
-        run_frame(rplan, registry, 0, rctx)
+        try:
+            run_frame(rplan, registry, 0, rctx)
+        finally:
+            rctx.close()
         starts = {r.filter_name: r.start for r in rctx.log}
         ends = {r.filter_name: r.end for r in rctx.log}
         producer = rspec.producer_of()

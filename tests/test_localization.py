@@ -18,6 +18,7 @@ from fieldkit.localization import (
     expected_observations,
     line_observation,
     observation_likelihood,
+    posterior_support,
     predict,
     update_and_resample,
 )
@@ -245,6 +246,17 @@ def test_dominant_mode_picks_heavier_cluster():
     p = particles_at(np.vstack([a, b]))
     pose = estimate_dominant_pose(p)
     assert math.hypot(pose.x - 2.0, pose.y - 1.0) < 0.1
+
+
+def test_posterior_support_covers_the_whole_field():
+    # a uniform posterior's support is the whole field's area, whatever its size
+    big = FieldSpec(length=12.0, width=8.0, goal_center_left=(-6.0, 0.0),
+                    goal_center_right=(6.0, 0.0))
+    for field, area in ((FieldSpec(), 54.0), (big, 96.0)):
+        p = ParticleSet.uniform(field, 200_000, np.random.default_rng(3))
+        support, width = posterior_support(p, field)
+        assert support == pytest.approx(area, rel=0.01)
+        assert width == pytest.approx(2 * math.pi, rel=0.01)
 
 
 # --- filter smoke ------------------------------------------------------------

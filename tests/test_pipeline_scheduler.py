@@ -178,7 +178,7 @@ def test_divider_two_runs_even_frames_only():
         {"name": "a", "inputs": ["frame"], "outputs": ["x"], "divider": 2},
     ]))
     plan = compute_batches(spec)
-    ctx = RunContext(serial=True)
+    ctx = RunContext(max_workers=1)
     runs = []
     registry = {"a": lambda inputs: (runs.append(1), {"x": len(runs)})[1]}
     for k in range(4):
@@ -194,7 +194,7 @@ def test_divider_counts_over_f_frames():
                 {"name": "a", "inputs": ["frame"], "outputs": ["x"], "divider": d},
             ]))
             plan = compute_batches(spec)
-            ctx = RunContext(serial=True)
+            ctx = RunContext(max_workers=1)
             count = [0]
 
             def fn(inputs, count=count):
@@ -211,7 +211,7 @@ def test_skipped_filter_retains_outputs_and_consumers_read_them():
         {"name": "fast", "inputs": ["s"], "outputs": ["out"]},
     ]))
     plan = compute_batches(spec)
-    ctx = RunContext(serial=True)
+    ctx = RunContext(max_workers=1)
     seen = []
     registry = {
         "slow": lambda inputs: {"s": f"slow@{inputs['frame']}"},
@@ -230,7 +230,7 @@ def test_consumer_of_never_run_filter_sees_empty():
         {"name": "user", "inputs": ["r"], "outputs": ["u"]},
     ]))
     plan = compute_batches(spec)
-    ctx = RunContext(serial=True)
+    ctx = RunContext(max_workers=1)
     got = []
     registry = {
         "rare": lambda inputs: {"r": "ready"},
@@ -249,7 +249,10 @@ def test_dependency_timestamps_on_random_dags():
         ctx = RunContext(max_workers=4)
         registry = {f.name: passthrough(f.outputs) for f in spec.filters}
         ctx.sources = {"frame": 0}
-        run_frame(plan, registry, 0, ctx)
+        try:
+            run_frame(plan, registry, 0, ctx)
+        finally:
+            ctx.close()
         ends = {r.filter_name: r.end for r in ctx.log}
         starts = {r.filter_name: r.start for r in ctx.log}
         producer = spec.producer_of()
@@ -273,11 +276,14 @@ def test_parallel_batch_beats_serial():
                 for f in filters}
     ctx_par = RunContext(max_workers=4)
     ctx_par.sources = {"frame": 0}
-    t0 = time.perf_counter()
-    run_frame(plan, registry, 0, ctx_par)
-    parallel = time.perf_counter() - t0
+    try:
+        t0 = time.perf_counter()
+        run_frame(plan, registry, 0, ctx_par)
+        parallel = time.perf_counter() - t0
+    finally:
+        ctx_par.close()
 
-    ctx_ser = RunContext(serial=True)
+    ctx_ser = RunContext(max_workers=1)
     ctx_ser.sources = {"frame": 0}
     t0 = time.perf_counter()
     run_frame(plan, registry, 0, ctx_ser)
@@ -298,7 +304,7 @@ def test_filter_error_stops_later_batches():
         raise RuntimeError("kaput")
 
     registry = {"boom": boom, "after": lambda inputs: (ran.append(1), {"y": 1})[1]}
-    ctx = RunContext(serial=True)
+    ctx = RunContext(max_workers=1)
     ctx.sources = {"frame": 0}
     with pytest.raises(FilterError) as err:
         run_frame(plan, registry, 0, ctx)
@@ -311,10 +317,66 @@ def test_output_contract_enforced():
         {"name": "bad", "inputs": ["frame"], "outputs": ["x", "y"]},
     ]))
     plan = compute_batches(spec)
-    ctx = RunContext(serial=True)
+    ctx = RunContext(max_workers=1)
     ctx.sources = {"frame": 0}
     with pytest.raises(InputError):
         run_frame(plan, {"bad": lambda inputs: {"x": 1}}, 0, ctx)
+
+
+def three_filter_batch():
+    spec = parse_pipeline(doc([{"name": n, "inputs": ["frame"], "outputs": [f"o_{n}"]}
+                               for n in "abc"]))
+    plan = compute_batches(spec)
+    assert plan.batches == (("a", "b", "c"),)
+    return plan
+
+
+def test_one_worker_runs_inline_without_a_pool():
+    plan = three_filter_batch()
+    threads = []
+
+    def record(out):
+        def fn(inputs):
+            threads.append(threading.current_thread())
+            return {out: 1}
+        return fn
+
+    ctx = RunContext(max_workers=1)
+    for k in range(3):
+        ctx.sources = {"frame": k}
+        run_frame(plan, {n: record(f"o_{n}") for n in "abc"}, k, ctx)
+    assert threads == [threading.current_thread()] * 9
+    assert ctx._pool is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failure_in_batch_order_is_blamed(workers):
+    plan = three_filter_batch()
+    ran = []
+
+    def a(inputs):
+        raise RuntimeError("kaput")
+
+    def b(inputs):
+        ran.append("b")
+        return {"wrong": 1}  # breaks the output contract: an InputError
+
+    def c(inputs):
+        ran.append("c")
+        return {"o_c": 1}
+
+    ctx = RunContext(max_workers=workers)
+    ctx.sources = {"frame": 0}
+    try:
+        with pytest.raises(FilterError) as err:
+            run_frame(plan, {"a": a, "b": b, "c": c}, 0, ctx)
+    finally:
+        ctx.close()
+    assert err.value.filter_name == "a"
+    assert isinstance(err.value.__cause__, RuntimeError)
+    # inline, the batch stops at the failure; pooled, the whole batch ran
+    assert sorted(ran) == ([] if workers == 1 else ["b", "c"])
+    assert ctx.store["o_c"] is EMPTY  # nothing of a failed batch is published
 
 
 def test_parallel_frames_reuse_one_pool():
@@ -374,7 +436,7 @@ def test_log_stays_bounded_over_long_runs():
     ]))
     plan = compute_batches(spec)
     registry = {f.name: passthrough(f.outputs) for f in spec.filters}
-    ctx = RunContext(serial=True)
+    ctx = RunContext(max_workers=1)
     run_frames(plan, registry, 10_000, ctx, frame_sources=lambda k: {"frame": k})
     assert len(ctx.log) == LOG_LIMIT
     assert [(r.filter_name, r.frame_index) for r in list(ctx.log)[-2:]] == \

@@ -13,6 +13,7 @@ order, so its centroids must match bit for bit too.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,7 +189,8 @@ def criterion_7_pair():
 
 
 def assert_same_disparity(left, right, window, max_disparity, uniqueness):
-    got = stereo_obstacles.block_match(left, right, window, max_disparity, uniqueness)
+    with mock.patch.object(stereo_obstacles, "UNIQUENESS_MARGIN", uniqueness):
+        got = stereo_obstacles.block_match(left, right, window, max_disparity)
     want = block_match(left, right, window, max_disparity, uniqueness)
     assert got.dtype == np.int32
     assert np.array_equal(got, want), (window, max_disparity, uniqueness)
