@@ -185,9 +185,8 @@ def _approach_times(points: np.ndarray, robot: FieldPose, ctx: PlanContext) -> n
 
 
 def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
-                   zero_heuristic: bool = False,
-                   target_cells=None) -> BallPlan:
-    """A* over the kick graph from the ball cell to the goal cell(s).
+                   zero_heuristic: bool = False) -> BallPlan:
+    """A* over the kick graph from the ball cell to the goal cell.
 
     The first expanded edge is costed as the first kick; later edges carry
     ball travel time only. Ties are broken by lower g, then smaller cell
@@ -203,13 +202,8 @@ def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
     n_cols = spec.n_cols
     start_cell = pose_to_cell(ctx.ball_pos, spec)
     start = start_cell.row * n_cols + start_cell.col
-    if target_cells is None:
-        goal_cell = pose_to_cell(ctx.goal_center, spec)
-        targets = {goal_cell.row * n_cols + goal_cell.col}
-    else:
-        targets = {t.row * n_cols + t.col for t in target_cells}
-        if not targets:
-            raise InputError("target_cells must be non-empty")
+    goal_cell = pose_to_cell(ctx.goal_center, spec)
+    target = goal_cell.row * n_cols + goal_cell.col
 
     indptr, dst, travel = _travel_times(spec, ctx.kick_lengths, ctx.ball_speed)
     n = spec.cell_count
@@ -240,7 +234,7 @@ def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
         if gu != g[u]:
             continue
         expanded += 1
-        if u in targets:
+        if u == target:
             goal = u
             break
         g[u] = -np.inf

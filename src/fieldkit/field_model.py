@@ -217,8 +217,7 @@ def pose_to_cell(p, spec: FieldSpec) -> GridIndex:
     broken toward the smaller index (row first, then col).
     """
     x, y = float(p[0]), float(p[1])
-    margin = spec.cell_size / 2.0 + 1e-12
-    if abs(x) > spec.half_length + margin or abs(y) > spec.half_width + margin:
+    if not spec.contains((x, y), spec.cell_size / 2.0 + 1e-12):
         raise OutOfField(f"point {(x, y)} outside field (+ half-cell margin)")
     row = _nearest_axis(y, spec.half_width, spec.cell_size, spec.n_rows)
     col = _nearest_axis(x, spec.half_length, spec.cell_size, spec.n_cols)

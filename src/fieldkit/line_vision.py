@@ -28,31 +28,6 @@ VERTICAL = "vertical"
 
 
 @dataclass(frozen=True)
-class Heatmap:
-    """Sliding-window line response sampled on a decimated site grid."""
-
-    values: np.ndarray
-    decimation: int
-    direction: str
-
-    def __post_init__(self):
-        if self.decimation < 1:
-            raise InputError("decimation must be >= 1")
-        if self.direction not in (HORIZONTAL, VERTICAL):
-            raise InputError(f"unknown pass direction {self.direction!r}")
-        if np.any(self.values < 0):
-            raise InputError("heatmap scores must be non-negative")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class LineSegment:
     p0: Point
     p1: Point
@@ -101,6 +76,8 @@ class CornerObservation:
 
 @dataclass(frozen=True)
 class VisionConfig:
+    """Every line-vision setting; each stage of detect_lines reads its own."""
+
     decimation: int = 4
     luma_weight: float = 1.0
     green_weight: float = 1.0
@@ -118,6 +95,21 @@ class VisionConfig:
     corner_extend_tol: float = 6.0
     corner_end_slack: float = 6.0
     seed: int = 0
+
+    def __post_init__(self):
+        checks = (
+            (("decimation", "nms_radius", "hough_votes"), lambda v: v >= 1, "at least 1"),
+            (("hough_rho",), lambda v: 0 < v < math.inf, "positive and finite"),
+            (("hough_theta",), lambda v: 0 < v <= math.pi, "in (0, pi]"),
+            (("luma_weight", "green_weight", "nms_threshold"), math.isfinite, "finite"),
+            (("min_length", "max_gap", "join_dist", "merge_angle_tol", "merge_dist_tol",
+              "corner_angle_tol", "corner_extend_tol", "corner_end_slack"),
+             lambda v: 0 <= v < math.inf, "finite and non-negative"),
+        )
+        for names, ok, what in checks:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise InputError(f"vision {name} must be {what}, got {getattr(self, name)!r}")
 
 
 def integral_image(channel: np.ndarray) -> np.ndarray:
@@ -141,26 +133,20 @@ def _width_map_as_array(width_map, height: int) -> np.ndarray:
     return wm
 
 
-def line_response_pass(r: Raster, direction: str, width_map, decimation: int,
-                       luma_weight: float = 1.0, green_weight: float = 1.0, *,
-                       tables=None) -> Heatmap:
+def line_response_pass(tables, direction: str, width_map, cfg: VisionConfig) -> np.ndarray:
     """Three-rectangle sliding-window score: bright middle, dark green sides.
 
-    The middle rectangle width follows the expected line width for the image
-    row; the side rectangles are the same size and adjacent. Scores clip at 0,
-    and sites whose window leaves the image score 0. The site grid is scored
-    as one box-sum evaluation per distinct line width, on integral images.
-    `tables` is the pair (integral_image(r.luma), integral_image(r.green)),
-    for a caller that runs both passes on one raster; when omitted, the pass
-    builds its own.
+    `tables` is the pair (integral_image(luma), integral_image(green)) of one
+    raster. The middle rectangle width follows the expected line width for
+    the image row; the side rectangles are the same size and adjacent. Scores
+    clip at 0, and sites whose window leaves the image score 0. Returns the
+    score of every site of the decimated grid, scored as one box-sum
+    evaluation per distinct line width.
     """
     if direction not in (HORIZONTAL, VERTICAL):
         raise InputError(f"unknown pass direction {direction!r}")
-    h, w = r.luma.shape
-    if tables is None:
-        tables = (integral_image(r.luma), integral_image(r.green))
-    elif any(t.shape != (h + 1, w + 1) for t in tables):
-        raise InputError("integral images must be one larger than the raster on each axis")
+    h, w = (n - 1 for n in tables[0].shape)
+    decimation = cfg.decimation
     rows = np.arange(0, h, decimation)
     n_cols = len(range(0, w, decimation))
     row_widths = _width_map_as_array(width_map, h)[rows]
@@ -190,28 +176,25 @@ def line_response_pass(r: Raster, direction: str, width_map, decimation: int,
         side_l = side0_l + side1_l
         side_g = side0_g + side1_g
         area = lw * lw
-        score = (luma_weight * (mid_l / area - side_l / (2 * area))
-                 + green_weight * (side_g / (2 * area) - mid_g / area))
+        score = (cfg.luma_weight * (mid_l / area - side_l / (2 * area))
+                 + cfg.green_weight * (side_g / (2 * area) - mid_g / area))
         values[i, j0:j1 + 1] = np.maximum(score, 0.0)
-    return Heatmap(values=values, decimation=decimation, direction=direction)
+    return values
 
 
-def nms(h: Heatmap, radius: int, threshold: float) -> np.ndarray:
+def nms(values: np.ndarray, direction: str, cfg: VisionConfig) -> np.ndarray:
     """1-D non-maximum suppression along the pass's scan direction.
 
-    Keeps sites at or above the threshold that beat every neighbor within
-    the radius; on plateaus the first site in scan order wins. Returns
-    (N, 2) full-resolution pixel coordinates (x, y).
+    Keeps sites of a line_response_pass score map at or above nms_threshold
+    that beat every neighbor within nms_radius; on plateaus the first site in
+    scan order wins. Returns (N, 2) full-resolution pixel coordinates (x, y).
     """
-    if radius < 1:
-        raise InputError("radius must be >= 1")
-    v = h.values
-    if h.direction == HORIZONTAL:
-        rows, cols = np.nonzero(_nms_1d(v, radius, threshold))
+    if direction == HORIZONTAL:
+        keep = _nms_1d(values, cfg.nms_radius, cfg.nms_threshold)
     else:
-        keep = _nms_1d(v.T, radius, threshold).T
-        rows, cols = np.nonzero(keep)
-    return np.column_stack([cols * h.decimation, rows * h.decimation]).astype(float)
+        keep = _nms_1d(values.T, cfg.nms_radius, cfg.nms_threshold).T
+    rows, cols = np.nonzero(keep)
+    return np.column_stack([cols * cfg.decimation, rows * cfg.decimation]).astype(float)
 
 
 def _nms_1d(v: np.ndarray, radius: int, threshold: float) -> np.ndarray:
@@ -228,29 +211,31 @@ def _nms_1d(v: np.ndarray, radius: int, threshold: float) -> np.ndarray:
     return keep
 
 
-def hough_segments(points, *, rho: float = 2.0, theta: float = math.pi / 180.0,
-                   votes: int = 10, min_length: float = 40.0, max_gap: float = 12.0,
-                   join_dist: float = 3.0, rng=None) -> list[LineSegment]:
+def hough_segments(points, cfg: VisionConfig, rng) -> list[LineSegment]:
     """Progressive probabilistic Hough transform over candidate points.
 
-    Points are visited in a seeded random order; each visited point votes one
-    (rho, theta) sinusoid into the accumulator. When a bin on the voted curve
-    reaches the vote threshold, the points near that line are walked along it
-    (bridging gaps up to max_gap); a long enough run is emitted as a segment
-    and the consumed points are removed and un-voted.
+    Points are visited in an order drawn from rng; each visited point votes
+    one (hough_rho, hough_theta) sinusoid into the accumulator. When a bin on
+    the voted curve reaches hough_votes, the points within join_dist of that
+    line are walked along it (bridging gaps up to max_gap); a run of at least
+    min_length is emitted as a segment, and the walked points are removed
+    and un-voted.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return []
-    if rng is None:
-        rng = np.random.default_rng(0)
-    thetas = np.arange(0.0, math.pi, theta)
-    cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
+    rho, votes, max_gap, join_dist = cfg.hough_rho, cfg.hough_votes, cfg.max_gap, cfg.join_dist
     # rho = x cos t + y sin t is bounded by the largest point radius
     max_rho = float(np.hypot(pts[:, 0], pts[:, 1]).max()) + 1.0
-    n_rho = int(2 * max_rho / rho) + 3
-    acc = np.zeros((n_rho, len(thetas)), dtype=np.int32)
+    # an accumulator too fine to size (numpy's ValueError, or OverflowError
+    # from an infinite bin count) is reported like one too large to allocate
+    try:
+        thetas = np.arange(0.0, math.pi, cfg.hough_theta)
+        acc = np.zeros((int(2 * max_rho / rho) + 3, len(thetas)), dtype=np.int32)
+    except (ValueError, OverflowError) as exc:
+        raise MemoryError(f"Hough accumulator too large: {exc}") from exc
+    cos_t = np.cos(thetas)
+    sin_t = np.sin(thetas)
 
     def rho_bins(p):
         return np.rint((p[0] * cos_t + p[1] * sin_t + max_rho) / rho).astype(np.int64)
@@ -291,7 +276,7 @@ def hough_segments(points, *, rho: float = 2.0, theta: float = math.pi / 180.0,
         p_start = pts[run[0]]
         p_end = pts[run[-1]]
         length = math.hypot(*(p_end - p_start))
-        if length >= min_length:
+        if length >= cfg.min_length:
             segments.append(LineSegment(tuple(p_start), tuple(p_end)))
         # consume the walked run either way so it is not revisited
         was_voted = run[voted[run]]
@@ -344,8 +329,8 @@ def merge_segments(segs, angle_tol: float, dist_tol: float) -> list[LineSegment]
         current = merged
 
 
-def detect_corners(lines, angle_tol: float, *, extend_tol: float = 6.0,
-                   end_slack: float = 6.0) -> list[CornerObservation]:
+def detect_corners(lines, angle_tol: float, extend_tol: float,
+                   end_slack: float) -> list[CornerObservation]:
     """Right-angle junctions between line pairs.
 
     Each line contributes an arm per side extending at least extend_tol past
@@ -401,16 +386,10 @@ def detect_lines(r: Raster, width_map, cfg: VisionConfig = VisionConfig()):
     tables = (integral_image(r.luma), integral_image(r.green))
     segments: list[LineSegment] = []
     for direction in (HORIZONTAL, VERTICAL):
-        heat = line_response_pass(r, direction, width_map, cfg.decimation,
-                                  cfg.luma_weight, cfg.green_weight, tables=tables)
-        pts = nms(heat, cfg.nms_radius, cfg.nms_threshold)
-        segments.extend(hough_segments(
-            pts, rho=cfg.hough_rho, theta=cfg.hough_theta, votes=cfg.hough_votes,
-            min_length=cfg.min_length, max_gap=cfg.max_gap,
-            join_dist=cfg.join_dist, rng=rng))
+        values = line_response_pass(tables, direction, width_map, cfg)
+        segments.extend(hough_segments(nms(values, direction, cfg), cfg, rng))
     lines = merge_segments(segments, cfg.merge_angle_tol, cfg.merge_dist_tol)
     lines = [s for s in lines if s.length >= cfg.min_length]
-    corners = detect_corners(lines, cfg.corner_angle_tol,
-                             extend_tol=cfg.corner_extend_tol,
-                             end_slack=cfg.corner_end_slack)
+    corners = detect_corners(lines, cfg.corner_angle_tol, cfg.corner_extend_tol,
+                             cfg.corner_end_slack)
     return lines, corners

@@ -29,6 +29,9 @@ POINT = "point"
 # posterior_support's histogram: square position cells (m), orientation bins
 SUPPORT_XY_BIN = 0.25
 SUPPORT_THETA_BINS = 72
+# estimate_dominant_pose's cluster: position (m) and orientation (rad) radii
+MODE_RADIUS_XY = 0.5
+MODE_RADIUS_THETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,9 @@ class SensorModel:
         if not all(math.isfinite(s) and s >= 0
                    for s in (self.sigma_d, self.sigma_p, self.sigma_theta)):
             raise InputError("sigmas must be finite and non-negative")
+        # infinity is a valid range: every feature is observed
+        if not self.max_range >= 0:
+            raise InputError("max_range must be non-negative")
 
 
 @dataclass
@@ -387,8 +393,7 @@ def posterior_support(particles: ParticleSet, spec: FieldSpec):
     return area, width
 
 
-def estimate_dominant_pose(particles: ParticleSet, radius_xy: float = 0.5,
-                           radius_theta: float = 0.5):
+def estimate_dominant_pose(particles: ParticleSet):
     """Pose of the heaviest local particle cluster.
 
     The global weighted mean is meaningless when the posterior is multimodal
@@ -402,7 +407,7 @@ def estimate_dominant_pose(particles: ParticleSet, radius_xy: float = 0.5,
     dx = poses[:, 0][:, None] - poses[:, 0][None, :]
     dy = poses[:, 1][:, None] - poses[:, 1][None, :]
     dth = np.abs(normalize_angles(poses[:, 2][:, None] - poses[:, 2][None, :]))
-    near = (dx * dx + dy * dy <= radius_xy ** 2) & (dth <= radius_theta)
+    near = (dx * dx + dy * dy <= MODE_RADIUS_XY ** 2) & (dth <= MODE_RADIUS_THETA)
     mass = near @ w
     k = int(np.argmax(mass))
     sel = near[k]

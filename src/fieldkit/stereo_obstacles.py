@@ -8,6 +8,7 @@ and single-linkage clustering of the points protruding above the plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,6 +285,8 @@ def extract_clusters(pc: PointCloud, plane: GroundPlane, protrusion: float,
     """
     if protrusion <= 0:
         raise InputError("protrusion must be positive")
+    if not 0 < link_dist < math.inf:
+        raise InputError("link_dist must be positive and finite")
     heights = plane.height_above(pc.points)
     sel = np.flatnonzero(heights > protrusion)
     if len(sel) == 0:

@@ -164,10 +164,10 @@ def test_criterion_3_line_detection_recall():
     assert recall >= 0.9, f"recall {recall:.3f}"
 
     # L/T/X corner multiplicity on clean fixtures
-    tol = math.radians(10)
-    l = detect_corners([LineSegment((0, 0), (40, 0)), LineSegment((0, 0), (0, 40))], tol)
-    t = detect_corners([LineSegment((-40, 0), (40, 0)), LineSegment((0, 0), (0, 40))], tol)
-    x = detect_corners([LineSegment((-40, 0), (40, 0)), LineSegment((0, -40), (0, 40))], tol)
+    tols = (math.radians(10), 6.0, 6.0)  # angle; arm extent and end slack (px)
+    l = detect_corners([LineSegment((0, 0), (40, 0)), LineSegment((0, 0), (0, 40))], *tols)
+    t = detect_corners([LineSegment((-40, 0), (40, 0)), LineSegment((0, 0), (0, 40))], *tols)
+    x = detect_corners([LineSegment((-40, 0), (40, 0)), LineSegment((0, -40), (0, 40))], *tols)
     assert (len(l), len(t), len(x)) == (1, 2, 4)
     print(f"\nPASS criterion 3: recall {matched}/{total} = {recall:.3f} >= 0.9 "
           f"at 2px/2deg, sigma=8; L/T/X corners = 1/2/4")

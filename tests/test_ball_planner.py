@@ -250,10 +250,3 @@ def test_plan_is_deterministic(spec):
     a = plan_ball_path(ctx, spec)
     b = plan_ball_path(ctx, spec)
     assert a == b
-
-
-def test_plan_with_custom_target_cells(spec):
-    ctx = ctx_at((-3.0, 0.0))
-    targets = [pose_to_cell((2.0, 1.5), spec), pose_to_cell((2.0, -1.5), spec)]
-    plan = plan_ball_path(ctx, spec, target_cells=targets)
-    assert pose_to_cell(plan.waypoints[-1], spec) in targets

@@ -146,6 +146,19 @@ def test_count_too_large_for_memory_exit_code(tmp_path):
     (["stereo", "{img}", "{img}"], {**SMALL_RIG, "params": {"max_disparity": 10**9}}, 3),
     # sigmas keys are SensorModel's fields; its gate and floor are constants
     (["localize"], {"steps": [], "sigmas": {"sigma_d": 0.2, "gate": 1.0}}, 2),
+    # vision values are range-checked before any pixel is read
+    (["detect-lines", "{img}", "--config"], {"vision": {"hough_rho": 0}}, 2),
+    (["detect-lines", "{img}", "--config"], {"vision": {"hough_theta": 0}}, 2),
+    (["detect-lines", "{img}", "--config"], {"vision": {"hough_theta": 4}}, 2),
+    (["detect-lines", "{img}", "--config"], {"vision": {"hough_votes": 0}}, 2),
+    (["detect-lines", "{img}", "--config"], {"vision": {"max_gap": float("nan")}}, 2),
+    (["detect-lines", "{img}", "--config"], {"vision": {"luma_weight": float("inf")}}, 2),
+    # a negative or NaN range would gate every feature; infinity keeps them all
+    (["localize"], {"steps": [], "sigmas": {"max_range": float("nan")}}, 2),
+    (["localize"], {"steps": [], "sigmas": {"max_range": -1}}, 2),
+    (["gen-trajectory"], {"sigmas": {"max_range": float("nan")}}, 2),
+    (["gen-trajectory"], {"sigmas": {"max_range": -1}}, 2),
+    (["gen-trajectory", "--steps", "2"], {"sigmas": {"max_range": float("inf")}}, 0),
 ])
 def test_malformed_document_exit_code(tmp_path, argv, doc, code):
     img = tmp_path / "img.ppm"
@@ -164,6 +177,59 @@ def test_malformed_pnm_header(tmp_path, header):
     with pytest.raises(InputError):
         read_pnm(path)
     assert run_cli("detect-lines", path) == 2
+
+
+@pytest.fixture(scope="module")
+def birdview_image(tmp_path_factory):
+    work = tmp_path_factory.mktemp("bird")
+    scene = work / "scene.json"
+    scene.write_text(json.dumps({
+        "birdview": {"out_width": 160, "out_height": 120, "meters_per_pixel": 0.03},
+        "noise_sigma": 6.0,
+    }))
+    assert run_cli("--seed", 3, "render", scene, "--out", work / "bird.ppm") == 0
+    return work / "bird.ppm"
+
+
+@pytest.mark.parametrize("vision, code", [({}, 0), ({"hough_theta": 1e-300}, 2),
+                                          ({"hough_rho": 1e-300}, 2),
+                                          ({"hough_rho": 5e-324}, 2)], ids=str)
+def test_hough_bins_too_fine_to_allocate_exit_code(tmp_path, birdview_image, vision, code):
+    # the image has lines, so candidates reach the Hough accumulator
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vision": vision}))
+    out = tmp_path / "lines.json"
+    assert run_cli("--config", config, "detect-lines", birdview_image,
+                   "--line-width-px", 2, "--out", out) == code
+    if code == 0:
+        assert json.loads(out.read_text())["lines"]
+
+
+@pytest.fixture(scope="module")
+def stereo_pair(tmp_path_factory):
+    work = tmp_path_factory.mktemp("pair")
+    scene = work / "scene.json"
+    scene.write_text(json.dumps({
+        "camera": {"extrinsics": {"position": [-0.4, 0.0, 0.35], "rpy": [0.0, 0.32, 0.0]},
+                   "intrinsics": {"fx": 700.0, "fy": 700.0, "cx": 159.5, "cy": 119.5,
+                                  "width": 320, "height": 240}},
+        "obstacles": [[0.55, 0.0, 0.02, 0.3]],
+    }))
+    assert run_cli("--seed", 3, "render", scene, "--stereo", "--out", work / "pair.ppm") == 0
+    return work / "pair_left.ppm", work / "pair_right.ppm"
+
+
+@pytest.mark.parametrize("link_dist, code", [(0.1, 0), (0.0, 2), (float("nan"), 2),
+                                             (-0.1, 2), (float("inf"), 2)])
+def test_stereo_link_dist_exit_code(tmp_path, stereo_pair, link_dist, code):
+    # the pair has a ground plane and one obstacle above it, so clustering runs
+    rig = tmp_path / "rig.json"
+    rig.write_text(json.dumps({"params": {"voxel": 0.03, "protrusion": 0.08,
+                                          "link_dist": link_dist, "min_cluster_size": 8}}))
+    out = tmp_path / "stereo.json"
+    assert run_cli("stereo", *stereo_pair, rig, "--out", out) == code
+    if code == 0:
+        assert len(json.loads(out.read_text())["clusters"]) == 1
 
 
 def test_unwritable_output_exit_code(tmp_path, scene_file):

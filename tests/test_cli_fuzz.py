@@ -39,7 +39,8 @@ COMMANDS = {
               "goal": [4.5, 0.0], "ball_speed": 2.0},
              ["--zero-heuristic", "--overlay"]),
     "detect-lines": (["detect-lines", "{img}", "--config", "{doc}"],
-                     {"vision": {"nms_threshold": 5.0, "hough_votes": 3, "max_gap": 4.0}},
+                     {"vision": {"nms_threshold": 5.0, "hough_votes": 3, "max_gap": 4.0,
+                                 "hough_rho": 1.0, "hough_theta": 0.05}},
                      ["--line-width-px", "--decimation", "--min-length", "--overlay"]),
     "birdview": (["birdview", "{img}", "{doc}"], CAMERA, ["--bilinear"]),
     "distort": (["distort", "{img}", "{doc}"], CAMERA, ["--k1", "--k2", "--mask-fov"]),

@@ -10,7 +10,6 @@ from fieldkit.field_model import FieldSpec
 from fieldkit.line_vision import (
     HORIZONTAL,
     VERTICAL,
-    Heatmap,
     LineSegment,
     VisionConfig,
     detect_corners,
@@ -40,6 +39,28 @@ def stripe_raster(center_col, width=5, h=64, w=96):
     return Raster(luma, green)
 
 
+def tables_of(r):
+    return integral_image(r.luma), integral_image(r.green)
+
+
+# --- settings ------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [
+    {"decimation": 0}, {"nms_radius": 0}, {"hough_votes": 0},
+    {"hough_rho": 0.0}, {"hough_rho": math.inf}, {"hough_theta": 0.0}, {"hough_theta": 4.0},
+    {"hough_theta": math.nan}, {"luma_weight": math.inf}, {"green_weight": -math.inf},
+    {"nms_threshold": math.nan}, {"min_length": -1.0}, {"max_gap": math.nan},
+    {"merge_angle_tol": math.inf}, {"corner_end_slack": -0.5},
+], ids=str)
+def test_vision_config_rejects_out_of_range_values(bad):
+    with pytest.raises(InputError):
+        VisionConfig(**bad)
+
+
+def test_vision_config_accepts_range_ends():
+    VisionConfig(hough_theta=math.pi, min_length=0.0, max_gap=0.0, nms_threshold=-5.0)
+
+
 # --- integral image ----------------------------------------------------------
 
 def test_integral_all_zero():
@@ -65,17 +86,17 @@ def test_integral_random_rects_match_naive():
 
 def test_stripe_heatmap_peaks_on_centerline():
     r = stripe_raster(47, width=5)
-    heat = line_response_pass(r, HORIZONTAL, width_map=5, decimation=1)
-    peak_cols = heat.values.argmax(axis=1)
+    heat = line_response_pass(tables_of(r), HORIZONTAL, 5, VisionConfig(decimation=1))
+    peak_cols = heat.argmax(axis=1)
     interior = peak_cols[10:-10]
     assert np.all(np.abs(interior - 47) <= 1)
-    assert heat.values.max() > 200  # strong combined luma+green contrast
+    assert heat.max() > 200  # strong combined luma+green contrast
 
 
 def test_uniform_image_scores_zero():
     r = flat_raster(120, 40)
-    heat = line_response_pass(r, HORIZONTAL, width_map=5, decimation=2)
-    assert not heat.values.any()
+    heat = line_response_pass(tables_of(r), HORIZONTAL, 5, VisionConfig(decimation=2))
+    assert not heat.any()
 
 
 def test_dark_stripe_clips_to_zero():
@@ -83,8 +104,8 @@ def test_dark_stripe_clips_to_zero():
     luma = np.full((32, 48), 200, np.uint8)
     luma[:, 20:25] = 20
     r = Raster(luma, np.zeros_like(luma))
-    heat = line_response_pass(r, HORIZONTAL, width_map=5, decimation=1)
-    assert heat.values[:, 20:25].max() == 0.0
+    heat = line_response_pass(tables_of(r), HORIZONTAL, 5, VisionConfig(decimation=1))
+    assert heat[:, 20:25].max() == 0.0
 
 
 def test_vertical_pass_finds_horizontal_stripe():
@@ -92,26 +113,18 @@ def test_vertical_pass_finds_horizontal_stripe():
     green = np.full((64, 96), GRASS_GREEN, np.uint8)
     luma[30:35, :] = 255
     green[30:35, :] = 0
-    heat = line_response_pass(Raster(luma, green), VERTICAL, width_map=5, decimation=1)
-    rows = heat.values.argmax(axis=0)
+    heat = line_response_pass(tables_of(Raster(luma, green)), VERTICAL, 5,
+                              VisionConfig(decimation=1))
+    rows = heat.argmax(axis=0)
     assert np.all(np.abs(rows[10:-10] - 32) <= 1)
 
 
 def test_pass_reads_the_tables_it_is_given():
-    r = stripe_raster(47, width=5)
-    tables = (integral_image(r.luma), integral_image(r.green))
-    for direction in (HORIZONTAL, VERTICAL):
-        own = line_response_pass(r, direction, width_map=5, decimation=2)
-        shared = line_response_pass(r, direction, width_map=5, decimation=2, tables=tables)
-        assert np.array_equal(own.values, shared.values)
-    # tables of another raster are read as given: here, an all-white one
+    # the tables are all the pass sees: here, an all-white raster's
     white = flat_raster(255, 0, h=64, w=96)
-    heat = line_response_pass(r, HORIZONTAL, width_map=5, decimation=1,
-                              tables=(integral_image(white.luma), integral_image(white.green)))
-    assert not heat.values.any()
-    with pytest.raises(InputError):
-        line_response_pass(r, HORIZONTAL, width_map=5, decimation=1,
-                           tables=(tables[0][:-1], tables[1]))
+    heat = line_response_pass(tables_of(white), HORIZONTAL, 5, VisionConfig(decimation=1))
+    assert heat.shape == (64, 96)
+    assert not heat.any()
 
 
 # --- NMS ---------------------------------------------------------------------
@@ -136,16 +149,14 @@ def brute_force_nms(values, radius, threshold, axis):
 def test_nms_single_peak():
     v = np.zeros((3, 11))
     v[1, 5] = 10.0
-    h = Heatmap(values=v, decimation=4, direction=HORIZONTAL)
-    pts = nms(h, radius=2, threshold=1.0)
+    pts = nms(v, HORIZONTAL, VisionConfig(decimation=4, nms_radius=2, nms_threshold=1.0))
     assert pts.tolist() == [[20.0, 4.0]]
 
 
 def test_nms_plateau_first_in_scan_wins():
     v = np.zeros((1, 10))
     v[0, 4:7] = 5.0
-    h = Heatmap(values=v, decimation=1, direction=HORIZONTAL)
-    pts = nms(h, radius=2, threshold=1.0)
+    pts = nms(v, HORIZONTAL, VisionConfig(decimation=1, nms_radius=2, nms_threshold=1.0))
     assert len(pts) == 1 and pts[0].tolist() == [4.0, 0.0]
 
 
@@ -154,10 +165,10 @@ def test_nms_matches_brute_force_on_random_maps():
     for direction, axis in ((HORIZONTAL, 1), (VERTICAL, 0)):
         for _ in range(20):
             v = rng.random((12, 18)) * 10
-            h = Heatmap(values=v, decimation=2, direction=direction)
             radius = int(rng.integers(1, 4))
             threshold = float(rng.uniform(0, 5))
-            got = {tuple(p) for p in nms(h, radius, threshold).tolist()}
+            cfg = VisionConfig(decimation=2, nms_radius=radius, nms_threshold=threshold)
+            got = {tuple(p) for p in nms(v, direction, cfg).tolist()}
             keep = brute_force_nms(v, radius, threshold, axis)
             expect = {(c * 2.0, r * 2.0) for r, c in zip(*np.nonzero(keep))}
             assert got == expect
@@ -168,8 +179,8 @@ def test_nms_matches_brute_force_on_random_maps():
 def test_hough_collinear_points_single_segment():
     t = np.arange(50, dtype=float) * 4
     pts = np.column_stack([10 + t * math.cos(0.4), 8 + t * math.sin(0.4)])
-    segs = hough_segments(pts, votes=8, min_length=50, max_gap=10,
-                          rng=np.random.default_rng(0))
+    segs = hough_segments(pts, VisionConfig(hough_votes=8, min_length=50, max_gap=10),
+                          np.random.default_rng(0))
     assert len(segs) == 1
     seg = segs[0]
     ends = sorted([seg.p0, seg.p1])
@@ -182,8 +193,8 @@ def test_hough_cross_gives_two_segments():
     horiz = np.column_stack([100 + t, np.full_like(t, 60.0)])
     vert = np.column_stack([np.full_like(t, 100.0), 60 + t])
     pts = np.vstack([horiz, vert])
-    segs = hough_segments(pts, votes=8, min_length=80, max_gap=10,
-                          rng=np.random.default_rng(3))
+    segs = hough_segments(pts, VisionConfig(hough_votes=8, min_length=80, max_gap=10),
+                          np.random.default_rng(3))
     assert len(segs) == 2
     dirs = sorted(s.direction for s in segs)
     assert dirs[0] == pytest.approx(0.0, abs=0.05)
@@ -191,16 +202,15 @@ def test_hough_cross_gives_two_segments():
 
 
 def test_hough_empty_input():
-    assert hough_segments(np.zeros((0, 2)), rng=np.random.default_rng(0)) == []
+    assert hough_segments(np.zeros((0, 2)), VisionConfig(), np.random.default_rng(0)) == []
 
 
 def test_hough_deterministic_under_seed():
     rng = np.random.default_rng(17)
     pts = rng.uniform(0, 200, (120, 2))
-    a = hough_segments(pts.copy(), votes=6, min_length=30, max_gap=15,
-                       rng=np.random.default_rng(5))
-    b = hough_segments(pts.copy(), votes=6, min_length=30, max_gap=15,
-                       rng=np.random.default_rng(5))
+    cfg = VisionConfig(hough_votes=6, min_length=30, max_gap=15)
+    a = hough_segments(pts.copy(), cfg, np.random.default_rng(5))
+    b = hough_segments(pts.copy(), cfg, np.random.default_rng(5))
     assert a == b
 
 
@@ -277,37 +287,38 @@ def test_merge_order_insensitive():
 
 # --- corners -----------------------------------------------------------------
 
+# angle tolerance, then how far arms must extend and ends may fall short (px)
+TOLS = (math.radians(10), 6.0, 6.0)
+
+
 def test_corner_multiplicity_l_t_x():
-    tol = math.radians(10)
     # L: segments share an endpoint
-    l = detect_corners([LineSegment((0, 0), (40, 0)), LineSegment((0, 0), (0, 40))], tol)
+    l = detect_corners([LineSegment((0, 0), (40, 0)), LineSegment((0, 0), (0, 40))], *TOLS)
     assert len(l) == 1
     # T: one segment ends on the middle of the other
-    t = detect_corners([LineSegment((-40, 0), (40, 0)), LineSegment((0, 0), (0, 40))], tol)
+    t = detect_corners([LineSegment((-40, 0), (40, 0)), LineSegment((0, 0), (0, 40))], *TOLS)
     assert len(t) == 2
     # X: both segments cross fully
-    x = detect_corners([LineSegment((-40, 0), (40, 0)), LineSegment((0, -40), (0, 40))], tol)
+    x = detect_corners([LineSegment((-40, 0), (40, 0)), LineSegment((0, -40), (0, 40))], *TOLS)
     assert len(x) == 4
 
 
 def test_corner_requires_right_angle():
-    tol = math.radians(10)
     slanted = detect_corners(
-        [LineSegment((0, 0), (40, 0)), LineSegment((0, 0), (30, 30))], tol)
+        [LineSegment((0, 0), (40, 0)), LineSegment((0, 0), (30, 30))], *TOLS)
     assert slanted == []
 
 
 def test_corner_skips_distant_intersections():
-    tol = math.radians(10)
     # infinite lines cross far outside both spans
     out = detect_corners(
-        [LineSegment((0, 0), (40, 0)), LineSegment((100, 10), (100, 50))], tol)
+        [LineSegment((0, 0), (40, 0)), LineSegment((100, 10), (100, 50))], *TOLS)
     assert out == []
 
 
 def test_corner_arm_directions_point_away():
     obs = detect_corners([LineSegment((0, 0), (40, 0)), LineSegment((0, 0), (0, 40))],
-                         math.radians(10))[0]
+                         *TOLS)[0]
     assert obs.position == pytest.approx((0.0, 0.0), abs=1e-9)
     dirs = sorted([obs.dir_a, obs.dir_b])
     assert np.allclose(dirs, [(0.0, 1.0), (1.0, 0.0)], atol=1e-9) or \

@@ -17,7 +17,6 @@ from fieldkit.field_model import FieldSpec
 from fieldkit.line_vision import (
     HORIZONTAL,
     VERTICAL,
-    Heatmap,
     VisionConfig,
     _width_map_as_array,
     detect_lines,
@@ -38,7 +37,7 @@ def integral_image(channel: np.ndarray) -> np.ndarray:
 
 
 def line_response_pass(r: Raster, direction: str, width_map, decimation: int,
-                       luma_weight: float = 1.0, green_weight: float = 1.0) -> Heatmap:
+                       luma_weight: float = 1.0, green_weight: float = 1.0) -> np.ndarray:
     """Three-rectangle sliding-window score: bright middle, dark green sides.
 
     The middle rectangle width follows the expected line width for the image
@@ -100,7 +99,7 @@ def line_response_pass(r: Raster, direction: str, width_map, decimation: int,
         score = (luma_weight * (mid_l / area - side_l / (2 * area))
                  + green_weight * (side_g / (2 * area) - mid_g / area))
         values[i] = np.where(ok, np.maximum(score, 0.0), 0.0)
-    return Heatmap(values=values, decimation=decimation, direction=direction)
+    return values
 
 
 # --- bit identity ----------------------------------------------------------------
@@ -120,23 +119,28 @@ def random_raster(shape, seed):
 @pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
 def test_pass_equals_row_loop(shape, width, direction):
     r = random_raster(shape, seed=shape[0] + shape[1])
+    tables = (line_vision.integral_image(r.luma), line_vision.integral_image(r.green))
     width_map = np.linspace(2, 9, shape[0]) if width == "linspace" else width
     for decimation in (1, 2, 3, 4):
         for weights in ((1.0, 1.0), (1.3, 0.7)):
             want = line_response_pass(r, direction, width_map, decimation, *weights)
-            got = line_vision.line_response_pass(r, direction, width_map, decimation, *weights)
-            assert got.values.shape == want.values.shape
-            assert got.values.dtype == want.values.dtype
-            assert np.array_equal(got.values, want.values), (decimation, weights)
+            cfg = VisionConfig(decimation=decimation, luma_weight=weights[0],
+                               green_weight=weights[1])
+            got = line_vision.line_response_pass(tables, direction, width_map, cfg)
+            assert got.shape == want.shape
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (decimation, weights)
             if width == 30 and shape == (37, 53):
-                assert not got.values.any()  # no window fits the raster
+                assert not got.any()  # no window fits the raster
             else:
-                assert got.values.any()
+                assert got.any()
 
 
 def test_unknown_direction_rejected():
     with pytest.raises(InputError):
-        line_vision.line_response_pass(random_raster((8, 8), 0), "diagonal", 2, 1)
+        r = random_raster((8, 8), 0)
+        tables = (line_vision.integral_image(r.luma), line_vision.integral_image(r.green))
+        line_vision.line_response_pass(tables, "diagonal", 2, VisionConfig(decimation=1))
 
 
 def test_integral_image_matches_oracle():
@@ -164,7 +168,9 @@ def test_detect_lines_per_row_width_map_matches_row_loop(monkeypatch):
     # the oracle builds its own integral images from the raster and ignores
     # the tables detect_lines shares between the two passes
     monkeypatch.setattr(line_vision, "line_response_pass",
-                        lambda *args, tables=None, **kwargs: line_response_pass(*args, **kwargs))
+                        lambda tables, direction, width_map, cfg: line_response_pass(
+                            img, direction, width_map, cfg.decimation,
+                            cfg.luma_weight, cfg.green_weight))
     want = detect_lines(img, width_map, cfg)
     assert len(want[0]) >= 2 and len(want[1]) >= 1
     assert got == want
