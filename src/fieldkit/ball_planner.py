@@ -119,12 +119,13 @@ def heuristic(ctx: PlanContext, to_pos: Point, first_kick: bool) -> float:
 
 
 @lru_cache(maxsize=8)
-def _kick_graph(spec: FieldSpec, kicks: tuple[float, ...]):
-    """CSR adjacency over all cells: (indptr, targets, center distances).
+def _travel_times(spec: FieldSpec, kicks: tuple[float, ...], ball_speed: float):
+    """CSR adjacency over all cells: (indptr, targets, ball travel times).
 
-    Distances are computed from the same center coordinates as cell_center,
-    so edge costs here agree bit for bit with scalar compute_cost. Targets
-    are intp, so the planner gathers with them without a cast per expansion.
+    Travel times are center distances over ball_speed, with the distances
+    computed from the same center coordinates as cell_center, so edge costs
+    here agree bit for bit with scalar compute_cost. Targets are intp, so
+    the planner gathers with them without a cast per expansion.
     """
     offsets = kick_offsets(spec, kicks)
     n_rows, n_cols = spec.n_rows, spec.n_cols
@@ -158,13 +159,7 @@ def _kick_graph(spec: FieldSpec, kicks: tuple[float, ...]):
     indptr = np.zeros(n_rows * n_cols + 1, dtype=np.int64)
     np.add.at(indptr, src + 1, 1)
     np.cumsum(indptr, out=indptr)
-    return indptr, dst.astype(np.intp), dist
-
-
-@lru_cache(maxsize=8)
-def _travel_times(spec: FieldSpec, kicks: tuple[float, ...], ball_speed: float):
-    indptr, dst, dist = _kick_graph(spec, kicks)
-    return indptr, dst, dist / ball_speed
+    return indptr, dst.astype(np.intp), dist / ball_speed
 
 
 def _segment_blocked(a: Point, ends, opponents, radius: float) -> np.ndarray:

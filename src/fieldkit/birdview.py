@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BehindCamera, HorizonRay, InputError
+from .errors import BehindCamera, HorizonRay, InputError, check_fields
 from .raster import Raster
 
 # index maps kept by _nearest_index_map, 1.2 MB each at the default
@@ -51,8 +51,8 @@ class CameraIntrinsics:
     k2: float = 0.0
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InputError("focal lengths must be positive")
+        check_fields(self, "intrinsics",
+                     ((("fx", "fy"), lambda v: 0 < v < math.inf, "positive and finite"),))
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InputError("principal point must lie inside the image")
         r_need = self._corner_radius_undistorted()
@@ -99,8 +99,9 @@ class CameraExtrinsics:
     def __post_init__(self):
         object.__setattr__(self, "position", tuple(float(v) for v in self.position))
         object.__setattr__(self, "rpy", tuple(float(v) for v in self.rpy))
-        if len(self.position) != 3 or len(self.rpy) != 3:
-            raise InputError("position and rpy must have three values each")
+        check_fields(self, "extrinsics", ((("position", "rpy"),
+                                           lambda p: len(p) == 3 and all(map(math.isfinite, p)),
+                                           "three finite values"),))
         if self.position[2] <= 0:
             raise InputError("camera must sit above the field plane")
 
@@ -127,12 +128,13 @@ class BirdviewSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "view_center", tuple(float(v) for v in self.view_center))
-        if len(self.view_center) != 2:
-            raise InputError("view_center must have two values")
-        if self.out_width <= 0 or self.out_height <= 0:
-            raise InputError("output dimensions must be positive")
-        if self.meters_per_pixel <= 0:
-            raise InputError("meters_per_pixel must be positive")
+        check_fields(self, "birdview", (
+            (("out_width", "out_height"), lambda v: v > 0, "positive"),
+            (("meters_per_pixel",), lambda v: 0 < v < math.inf, "positive and finite"),
+            (("view_center",), lambda p: len(p) == 2 and all(map(math.isfinite, p)),
+             "two finite values"),
+            (("view_yaw",), math.isfinite, "finite"),
+        ))
 
     def pixel_to_field(self, col, row):
         """Field coordinates of birdview pixel centers (vectorized)."""

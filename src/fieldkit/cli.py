@@ -28,7 +28,7 @@ from .birdview import (
     fov_mask,
 )
 from .errors import AlgorithmError, InputError
-from .field_model import FieldPose, FieldSpec, load_default_field, pose_to_cell
+from .field_model import FieldPose, FieldSpec, pose_to_cell
 from .line_vision import VisionConfig, detect_lines
 from .localization import MonteCarloFilter, RobotObservation, SensorModel
 from .pipeline_scheduler import RunContext, compute_batches, parse_pipeline, run_frames
@@ -80,21 +80,10 @@ def _number(kind, low=-math.inf, high=math.inf):
     return parse
 
 
-def _config(args):
-    cfg = getattr(args, "config", None)
-    if cfg is None:
-        return {}
-    if not hasattr(args, "_config_doc"):
-        args._config_doc = _load_json(cfg)
-    return args._config_doc
-
-
-def _field_from_doc(doc, args):
-    if not doc:
-        doc = _config(args).get("field")
-    if not doc or doc in ("default",):
-        return load_default_field()
-    return FieldSpec.from_dict(doc)
+def _field_from_doc(doc, config):
+    """The document's field, else the config's, else FieldSpec()."""
+    doc = config.get("field") if doc is None else doc
+    return FieldSpec() if doc is None else FieldSpec.from_dict(doc)
 
 
 def _build(cls, doc, what, **given):
@@ -118,12 +107,12 @@ def _build(cls, doc, what, **given):
         values = {k: convert.get(types[k], lambda v: v)(v)
                   for k, v in doc.items() if k not in given}
         return cls(**values, **given)
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError, KeyError) as exc:
         raise InputError(f"bad {what}: {exc}") from exc
 
 
-def _scene_from_doc(doc, seed, args):
-    field = _field_from_doc(doc.get("field"), args)
+def _scene_from_doc(doc, seed, config):
+    field = _field_from_doc(doc.get("field"), config)
     try:
         robot = FieldPose(*map(float, doc.get("robot", (0.0, 0.0, 0.0))))
         obstacles = tuple(synth.Obstacle(*map(float, ob)) for ob in doc.get("obstacles", ()))
@@ -134,7 +123,7 @@ def _scene_from_doc(doc, seed, args):
         raise InputError(f"bad scene: {exc}") from exc
 
 
-def _noise_from_doc(doc, args):
+def _noise_from_doc(doc, config):
     """Sensor model and odometry noise of a trajectory or scene document.
 
     Sigmas come from the config's "sigmas", overridden key by key by the
@@ -142,7 +131,7 @@ def _noise_from_doc(doc, args):
     three finite non-negative numbers.
     """
     config_sig, doc_sig = ({} if d.get("sigmas") is None else d["sigmas"]
-                           for d in (_config(args), doc))
+                           for d in (config, doc))
     try:
         sig = {**config_sig, **doc_sig}
         raw = doc.get("odom_noise", (0.02, 0.02, 0.02))
@@ -157,24 +146,17 @@ def _noise_from_doc(doc, args):
 
 # --- subcommands --------------------------------------------------------------
 
-def cmd_plan(args):
+def cmd_plan(args, config):
     doc = _load_json(args.scene)
-    field = _field_from_doc(doc.get("field"), args)
+    field = _field_from_doc(doc.pop("field", None), config)
+    goal = doc.pop("goal", field.goal_center_right)
     try:
-        ctx = PlanContext(
-            robot_pos=FieldPose(*map(float, doc["robot"])),
-            ball_pos=tuple(doc["ball"]),
-            teammates=tuple(FieldPose(*map(float, t)) for t in doc.get("teammates", ())),
-            opponents=tuple(tuple(o) for o in doc.get("opponents", ())),
-            ball_speed=float(doc.get("ball_speed", 2.0)),
-            walk_speed=float(doc.get("walk_speed", 0.2)),
-            turn_speed=float(doc.get("turn_speed", 1.0)),
-            opponent_radius=float(doc.get("opponent_radius", 0.3)),
-            kick_lengths=tuple(doc.get("kick_lengths", (0.5, 1.0, 2.0))),
-            goal_center=tuple(doc.get("goal", field.goal_center_right)),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        robot, ball = FieldPose(*map(float, doc.pop("robot"))), doc.pop("ball")
+        teammates = tuple(FieldPose(*map(float, t)) for t in doc.pop("teammates", ()))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"missing or bad scene value: {exc}") from exc
+    ctx = _build(PlanContext, doc, "scene", robot_pos=robot, ball_pos=ball,
+                 teammates=teammates, goal_center=goal)
     plan = plan_ball_path(ctx, field, zero_heuristic=args.zero_heuristic)
     _dump_json({
         "waypoints": [[x, y] for x, y in plan.waypoints],
@@ -216,9 +198,9 @@ def _draw_marker(rgb, u, v, color):
     rgb[max(0, v - 2):v + 3, max(0, u - 2):u + 3] = color
 
 
-def cmd_detect_lines(args):
+def cmd_detect_lines(args, config):
     raster = read_raster(args.image)
-    cfg = _build(VisionConfig, _config(args).get("vision"), "vision config",
+    cfg = _build(VisionConfig, config.get("vision"), "vision config",
                  seed=args.seed or 0, decimation=args.decimation, min_length=args.min_length)
     lines, corners = detect_lines(raster, width_map=args.line_width_px, cfg=cfg)
     _dump_json({
@@ -235,7 +217,7 @@ def cmd_detect_lines(args):
     return 0
 
 
-def cmd_birdview(args):
+def cmd_birdview(args, config):
     doc = _load_json(args.camera)
     intr = _build(CameraIntrinsics, doc.get("intrinsics"), "intrinsics")
     ex = _build(CameraExtrinsics, doc.get("extrinsics"), "extrinsics")
@@ -246,7 +228,7 @@ def cmd_birdview(args):
     return 0
 
 
-def cmd_distort(args):
+def cmd_distort(args, config):
     intr = _build(CameraIntrinsics, _load_json(args.camera).get("intrinsics"), "intrinsics")
     raster = read_raster(args.image)
     out = emulate_wide_angle(raster, intr, args.k1, args.k2)
@@ -257,16 +239,16 @@ def cmd_distort(args):
     return 0
 
 
-def cmd_mask(args):
+def cmd_mask(args, config):
     intr = _build(CameraIntrinsics, _load_json(args.camera).get("intrinsics"), "intrinsics")
     write_pgm(args.out or "mask.pgm", fov_mask(intr, math.radians(args.fov_deg)))
     return 0
 
 
-def cmd_localize(args):
+def cmd_localize(args, config):
     doc = _load_json(args.trajectory)
-    field = _field_from_doc(doc.get("field"), args)
-    sm, odo = _noise_from_doc(doc, args)
+    field = _field_from_doc(doc.get("field"), config)
+    sm, odo = _noise_from_doc(doc, config)
     f = MonteCarloFilter(field, n_particles=args.particles, sigmas=sm, seed=args.seed or 0)
     steps = doc.get("steps", [])
     if not isinstance(steps, list):
@@ -293,7 +275,7 @@ def cmd_localize(args):
     return 0
 
 
-def cmd_stereo(args):
+def cmd_stereo(args, config):
     left, right = read_raster(args.left), read_raster(args.right)
     doc = _load_json(args.rig)
     params_doc, ex_doc = doc.pop("params", None), doc.pop("extrinsics", None)
@@ -313,7 +295,7 @@ def cmd_stereo(args):
     return 0
 
 
-def cmd_pipeline_bench(args):
+def cmd_pipeline_bench(args, config):
     spec = parse_pipeline(_read_text(args.pipeline))
     plan = compute_batches(spec)
     counts = {}
@@ -352,9 +334,9 @@ def cmd_pipeline_bench(args):
     return 0
 
 
-def cmd_render(args):
+def cmd_render(args, config):
     doc = _load_json(args.scene)
-    scene = _scene_from_doc(doc, args.seed, args)
+    scene = _scene_from_doc(doc, args.seed, config)
     camera = doc.get("camera")
     if camera is not None and not isinstance(camera, dict):
         raise InputError("camera must be a JSON object")
@@ -376,10 +358,10 @@ def cmd_render(args):
     return 0
 
 
-def cmd_gen_trajectory(args):
+def cmd_gen_trajectory(args, config):
     doc = _load_json(args.scene) if args.scene else {}
-    scene = _scene_from_doc(doc, args.seed, args)
-    sm, odo = _noise_from_doc(doc, args)
+    scene = _scene_from_doc(doc, args.seed, config)
+    sm, odo = _noise_from_doc(doc, config)
     traj = synth.generate_trajectory(scene, steps=args.steps, odom_noise=odo,
                                      obs_sigmas=sm, seed=args.seed or 0)
     traj["field"] = scene.field.to_dict()
@@ -390,86 +372,73 @@ def cmd_gen_trajectory(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="fieldkit",
                                 description="Desk-scale soccer-robot perception stack")
-    p.add_argument("--seed", type=_number(int, 0), default=None, help="seed for all randomness")
-    p.add_argument("--out", default=None, help="output path (default: stdout/cwd)")
-    p.add_argument("--config", default=None, help="JSON file with shared defaults (field, sigmas, vision)")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # pre-subcommand value when the post-subcommand copy is absent
+    # the same flags are accepted after the subcommand, where SUPPRESS keeps
+    # the pre-subcommand value; the top level has its own copies, since a
+    # parent parser shares its Action objects, defaults included.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=_number(int, 0), default=argparse.SUPPRESS)
-    shared.add_argument("--out", default=argparse.SUPPRESS)
-    shared.add_argument("--config", default=argparse.SUPPRESS)
+    for flag, kw in (("--seed", dict(type=_number(int, 0), help="seed for all randomness")),
+                     ("--out", dict(help="output path (default: stdout/cwd)")),
+                     ("--config", dict(help="JSON file with shared defaults (field, sigmas, vision)"))):
+        p.add_argument(flag, default=None, **kw)
+        shared.add_argument(flag, default=argparse.SUPPRESS, **kw)
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("plan", help="A* kick plan for a JSON scene", parents=[shared])
-    q.add_argument("scene")
+    def command(fn, summary, *positionals):
+        """A subcommand named after fn (cmd_gen_trajectory: gen-trajectory)."""
+        q = sub.add_parser(fn.__name__[4:].replace("_", "-"), help=summary, parents=[shared])
+        q.set_defaults(fn=fn)
+        for name in positionals:
+            q.add_argument(name)
+        return q
+
+    q = command(cmd_plan, "A* kick plan for a JSON scene", "scene")
     q.add_argument("--zero-heuristic", action="store_true")
     q.add_argument("--overlay", default=None, help="write a PPM path overlay")
-    q.set_defaults(fn=cmd_plan)
 
-    q = sub.add_parser("detect-lines", help="detect field lines in a PGM/PPM image", parents=[shared])
-    q.add_argument("image")
+    q = command(cmd_detect_lines, "detect field lines in a PGM/PPM image", "image")
     q.add_argument("--line-width-px", type=_number(float, 0, 1e6), default=5.0)
-    q.add_argument("--decimation", type=_number(int, 1, 10**6), default=4)
-    q.add_argument("--min-length", type=_number(float, 0), default=40.0)
+    q.add_argument("--decimation", type=_number(int, 1, 10**6), default=VisionConfig.decimation)
+    q.add_argument("--min-length", type=_number(float, 0), default=VisionConfig.min_length)
     q.add_argument("--overlay", default=None)
-    q.set_defaults(fn=cmd_detect_lines)
 
-    q = sub.add_parser("birdview", help="top-down resample of a camera image", parents=[shared])
-    q.add_argument("image")
+    q = command(cmd_birdview, "top-down resample of a camera image", "image")
     q.add_argument("camera", help="JSON with intrinsics/extrinsics/birdview")
     q.add_argument("--bilinear", action="store_true")
-    q.set_defaults(fn=cmd_birdview)
 
-    q = sub.add_parser("distort", help="emulate a wide-angle lens on a rectilinear image", parents=[shared])
-    q.add_argument("image")
-    q.add_argument("camera")
+    q = command(cmd_distort, "emulate a wide-angle lens on a rectilinear image", "image", "camera")
     q.add_argument("--k1", type=_number(float), default=-0.3)
     q.add_argument("--k2", type=_number(float), default=0.1)
     q.add_argument("--mask-fov", type=_number(float, 0), default=None,
                    help="also apply the FoV mask at this angle (degrees)")
-    q.set_defaults(fn=cmd_distort)
 
-    q = sub.add_parser("mask", help="procedural FoV mask for a camera", parents=[shared])
-    q.add_argument("camera")
+    q = command(cmd_mask, "procedural FoV mask for a camera", "camera")
     q.add_argument("--fov-deg", type=_number(float, 0), default=100.0)
-    q.set_defaults(fn=cmd_mask)
 
-    q = sub.add_parser("localize", help="run the particle filter over a trajectory", parents=[shared])
-    q.add_argument("trajectory")
+    q = command(cmd_localize, "run the particle filter over a trajectory", "trajectory")
     q.add_argument("--particles", type=_number(int, 1), default=500)
-    q.set_defaults(fn=cmd_localize)
 
-    q = sub.add_parser("stereo", help="obstacles from a rectified PGM/PPM pair", parents=[shared])
-    q.add_argument("left")
-    q.add_argument("right")
+    q = command(cmd_stereo, "obstacles from a rectified PGM/PPM pair", "left", "right")
     q.add_argument("rig", help="JSON rig description")
     q.add_argument("--cloud", default=None, help="dump the point cloud as ASCII XYZ")
-    q.set_defaults(fn=cmd_stereo)
 
-    q = sub.add_parser("pipeline-bench", help="run a pipeline of sleep filters", parents=[shared])
-    q.add_argument("pipeline")
+    q = command(cmd_pipeline_bench, "run a pipeline of sleep filters", "pipeline")
     q.add_argument("--frames", type=_number(int, 1), default=8)
     q.add_argument("--sleep-ms", type=_number(float, 0), default=50.0)
     q.add_argument("--workers", type=_number(int, 1), default=None)
-    q.set_defaults(fn=cmd_pipeline_bench)
 
-    q = sub.add_parser("render", help="render a synthetic scene", parents=[shared])
-    q.add_argument("scene")
+    q = command(cmd_render, "render a synthetic scene", "scene")
     q.add_argument("--stereo", action="store_true")
-    q.set_defaults(fn=cmd_render)
 
-    q = sub.add_parser("gen-trajectory", help="generate a localization trajectory", parents=[shared])
+    q = command(cmd_gen_trajectory, "generate a localization trajectory")
     q.add_argument("scene", nargs="?", default=None)
     q.add_argument("--steps", type=_number(int, 1), default=50)
-    q.set_defaults(fn=cmd_gen_trajectory)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_json(args.config) if args.config is not None else {})
     # OSError: a path that cannot be read or written; MemoryError: a count too large
     except (InputError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

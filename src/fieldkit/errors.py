@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its value check.
 
 InputError maps to CLI exit code 2, AlgorithmError to exit code 3.
 """
@@ -77,3 +77,15 @@ class FilterError(AlgorithmError):
         self.filter_name = filter_name
         self.__cause__ = cause
         super().__init__(f"filter {filter_name!r} failed: {cause!r}")
+
+
+def check_fields(obj, what: str, checks) -> None:
+    """Raise InputError for the first field of obj that fails its row of checks.
+
+    A row is (names, ok, description); the message names what, the field,
+    the description and the value."""
+    for names, ok, description in checks:
+        for name in names:
+            value = getattr(obj, name)
+            if not ok(value):
+                raise InputError(f"{what} {name} must be {description}, got {value!r}")

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, OutOfField
+from .errors import InputError, OutOfField, check_fields
 from .geometry import normalize_angle
 
 Point = tuple[float, float]
@@ -97,8 +97,12 @@ class FieldSpec:
         object.__setattr__(self, "goal_center_right", _as_point(self.goal_center_right))
         object.__setattr__(self, "circle_center", _as_point(self.circle_center))
         object.__setattr__(self, "line_segments", _as_segments(self.line_segments))
-        if self.length <= 0 or self.width <= 0 or self.cell_size <= 0:
-            raise InputError("field dimensions and cell size must be positive")
+        check_fields(self, "field", (
+            (("length", "width", "cell_size"), lambda v: 0 < v < math.inf, "positive and finite"),
+            (("line_width", "goal_width", "circle_radius"), math.isfinite, "finite"),
+            (("goal_center_left", "goal_center_right", "circle_center", "line_segments"),
+             lambda points: np.isfinite(points).all(), "finite"),
+        ))
         for extent, name in ((self.length, "length"), (self.width, "width")):
             cells = extent / self.cell_size
             if abs(cells - round(cells)) > 1e-9:
@@ -155,6 +159,8 @@ class FieldSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FieldSpec":
+        if not isinstance(doc, dict):
+            raise InputError(f"field must be a JSON object, got {type(doc).__name__}")
         try:
             kwargs = {}
             for key in ("length", "width", "cell_size", "line_width"):
@@ -172,7 +178,7 @@ class FieldSpec:
                 if "width" in goals:
                     kwargs["goal_width"] = float(goals["width"])
             return cls(**kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"bad field document: {exc}") from exc
 
     def to_dict(self) -> dict:

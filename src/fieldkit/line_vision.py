@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_fields
 from .geometry import axial_diff, connected_components, line_intersection
 from .raster import Raster
 
@@ -106,10 +106,7 @@ class VisionConfig:
               "corner_angle_tol", "corner_extend_tol", "corner_end_slack"),
              lambda v: 0 <= v < math.inf, "finite and non-negative"),
         )
-        for names, ok, what in checks:
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise InputError(f"vision {name} must be {what}, got {getattr(self, name)!r}")
+        check_fields(self, "vision", checks)
 
 
 def integral_image(channel: np.ndarray) -> np.ndarray:

@@ -422,8 +422,7 @@ def estimate_dominant_pose(particles: ParticleSet):
 class MonteCarloFilter:
     """Convenience wrapper owning the particle set, config and RNG."""
 
-    def __init__(self, spec: FieldSpec, n_particles: int = 500,
-                 sigmas: SensorModel = SensorModel(), seed: int = 0):
+    def __init__(self, spec: FieldSpec, n_particles: int, sigmas: SensorModel, seed: int):
         self.spec = spec
         self.sigmas = sigmas
         self.rng = np.random.default_rng(seed)

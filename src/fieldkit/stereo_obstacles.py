@@ -196,7 +196,7 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int) ->
     return disparity
 
 
-def disparity_to_points(disparity: np.ndarray, rig: StereoRig, step: int = 1) -> PointCloud:
+def disparity_to_points(disparity: np.ndarray, rig: StereoRig, step: int) -> PointCloud:
     """Reproject valid, positive disparities on a step grid: Z = f b / d."""
     if step < 1:
         raise InputError("step must be >= 1")
@@ -213,13 +213,21 @@ def disparity_to_points(disparity: np.ndarray, rig: StereoRig, step: int = 1) ->
     return PointCloud(np.column_stack([x, y, z]))
 
 
-def voxel_bin(pc: PointCloud, voxel: float, min_points_per_voxel: int = 1) -> PointCloud:
+def _cell_keys(points: np.ndarray, size: float, name: str) -> np.ndarray:
+    """floor(points / size) as int64 cell keys, each with room for a
+    neighbour's +/-1; a tiny size on a wide cloud is refused."""
+    if not 0 < size < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {size!r}")
+    if len(points) and not float(np.abs(points).max()) < 2.0**62 * size:
+        raise InputError(f"{name} {size!r} is too small for the cloud: cell keys overflow int64")
+    return np.floor(points / size).astype(np.int64)
+
+
+def voxel_bin(pc: PointCloud, voxel: float, min_points_per_voxel: int) -> PointCloud:
     """Centroid per occupied voxel; voxels with too few points are dropped."""
-    if voxel <= 0:
-        raise InputError("voxel size must be positive")
+    keys = _cell_keys(pc.points, voxel, "voxel")
     if len(pc) == 0:
         return PointCloud(np.zeros((0, 3)))
-    keys = np.floor(pc.points / voxel).astype(np.int64)
     # voxel ids in np.unique(keys, axis=0)'s lexicographic order
     order = np.lexsort(keys.T[::-1])
     sorted_keys = keys[order]
@@ -243,8 +251,12 @@ def _canonical_orientation(n: np.ndarray) -> np.ndarray:
 
 
 def ransac_plane(pc: PointCloud, iterations: int, inlier_dist: float,
-                 seed: int = 0) -> GroundPlane:
+                 seed: int) -> GroundPlane:
     """Classic 3-point RANSAC followed by a least-squares refit over inliers."""
+    if iterations < 1:
+        raise InputError(f"ransac_iterations must be at least 1, got {iterations!r}")
+    if not 0 < inlier_dist < math.inf:
+        raise InputError(f"inlier_dist must be positive and finite, got {inlier_dist!r}")
     pts = pc.points
     if len(pts) < 3:
         raise DegenerateCloud(f"need at least 3 points, got {len(pts)}")
@@ -283,17 +295,15 @@ def extract_clusters(pc: PointCloud, plane: GroundPlane, protrusion: float,
     Neighbor search runs on a uniform grid of cell size link_dist, which
     gives the same connectivity as a KD-tree Euclidean clustering.
     """
-    if protrusion <= 0:
-        raise InputError("protrusion must be positive")
-    if not 0 < link_dist < math.inf:
-        raise InputError("link_dist must be positive and finite")
+    if not 0 < protrusion < math.inf:
+        raise InputError(f"protrusion must be positive and finite, got {protrusion!r}")
     heights = plane.height_above(pc.points)
     sel = np.flatnonzero(heights > protrusion)
-    if len(sel) == 0:
-        return []
     pts = pc.points[sel]
     hts = heights[sel]
-    cells = np.floor(pts / link_dist).astype(np.int64)
+    cells = _cell_keys(pts, link_dist, "link_dist")
+    if len(sel) == 0:
+        return []
     buckets: dict[tuple, list[int]] = {}
     for idx, c in enumerate(map(tuple, cells)):
         buckets.setdefault(c, []).append(idx)
@@ -357,6 +367,9 @@ def obstacles_from_disparity(disparity: np.ndarray, rig: StereoRig, params: Ster
     Raises DegenerateCloud when the cloud cannot support a confident ground
     fit (too few points or the inlier ratio below the configured floor).
     """
+    if not 0 <= params.min_ground_inlier_ratio <= 1:
+        raise InputError("min_ground_inlier_ratio must lie in [0, 1], "
+                         f"got {params.min_ground_inlier_ratio!r}")
     cloud = disparity_to_points(disparity, rig, params.step)
     binned = voxel_bin(cloud, params.voxel, params.min_points_per_voxel)
     plane = ransac_plane(binned, params.ransac_iterations, params.inlier_dist,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .birdview import BirdviewSpec, CameraExtrinsics, CameraIntrinsics, _pixel_grid_normalized
+from .errors import check_fields
 from .field_model import FieldPose, FieldSpec
 from .geometry import points_segments_distance
 from .localization import (
@@ -49,6 +50,11 @@ class Scene:
     obstacles: tuple[Obstacle, ...] = ()
     noise_sigma: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self, "scene", ((("noise_sigma",), lambda v: 0 <= v < math.inf,
+                                      "finite and non-negative"),
+                                     (("seed",), lambda v: v >= 0, "non-negative")))
 
 
 def paint_ground(spec: FieldSpec, xs: np.ndarray, ys: np.ndarray):
@@ -182,7 +188,7 @@ def render_stereo(scene: Scene, rig: StereoRig, ex: CameraExtrinsics):
 
 
 def generate_trajectory(scene: Scene, steps: int, odom_noise, obs_sigmas: SensorModel,
-                        seed: int = 0) -> dict:
+                        seed: int) -> dict:
     """Seeded random walk with noisy odometry and observations plus ground truth.
 
     Returns a JSON-ready dict: one entry per step with the robot-frame

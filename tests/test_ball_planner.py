@@ -5,8 +5,8 @@ import pytest
 
 from fieldkit.ball_planner import (
     PlanContext,
-    _kick_graph,
     _segment_blocked,
+    _travel_times,
     compute_cost,
     heuristic,
     intersect_opponent,
@@ -197,7 +197,7 @@ def test_waypoints_are_valid_kick_edges(spec, kick_edges):
     for _ in range(10):
         ctx = random_ctx(rng)
         plan = plan_ball_path(ctx, spec)
-        indptr, dst, _ = _kick_graph(spec, ctx.kick_lengths)
+        indptr, dst, _ = _travel_times(spec, ctx.kick_lengths, 1.0)
         for a, b in zip(plan.waypoints, plan.waypoints[1:]):
             ia, ib = pose_to_cell(a, spec), pose_to_cell(b, spec)
             n = ia.row * spec.n_cols + ia.col

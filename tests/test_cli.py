@@ -18,6 +18,10 @@ SMALL_INTRINSICS = {"fx": 300.0, "fy": 300.0, "cx": 3.5, "cy": 3.5, "width": 8, 
 SMALL_CAMERA = {"intrinsics": SMALL_INTRINSICS,
                 "extrinsics": {"position": [-1.0, 0.0, 0.7], "rpy": [0.0, 0.75, 0.0]}}
 SMALL_RIG = {"baseline": 0.062, "focal": 700.0, "cx": 3.5, "cy": 3.5, "width": 8, "height": 8}
+PLAN = {"robot": [0, 0, 0], "ball": [0.5, 0.2]}
+# stereo params under which the rendered pair gives one obstacle cluster
+PAIR_PARAMS = {"voxel": 0.03, "protrusion": 0.08, "link_dist": 0.1, "min_cluster_size": 8}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.fixture()
@@ -159,14 +163,46 @@ def test_count_too_large_for_memory_exit_code(tmp_path):
     (["gen-trajectory"], {"sigmas": {"max_range": float("nan")}}, 2),
     (["gen-trajectory"], {"sigmas": {"max_range": -1}}, 2),
     (["gen-trajectory", "--steps", "2"], {"sigmas": {"max_range": float("inf")}}, 0),
+    # a field must be an object of finite numbers
+    *((["plan"], {**PLAN, "field": field}, 2) for field in (
+        "default", "nonsense", [1, 2], {"length": INF}, {"cell_size": INF},
+        {"line_width": NAN}, {"circle": {"center": [0, 0], "radius": NAN}},
+        {"goals": {"left": [-4.5, 0], "right": [4.5, 0], "width": NAN}},
+        {"goals": {"left": [NAN, 0], "right": [4.5, 0]}},
+        {"line_segments": [[[NAN, 0], [1, 0]]]})),
+    # plan scene keys are PlanContext's fields plus robot, ball, goal and field
+    (["plan"], {**PLAN, "bogus": 1}, 2),
+    (["plan"], {**PLAN, "ball": {"x": 0.5}}, 2),
+    # stereo stage values on the rendered pair, where every stage runs
+    *((["stereo", "{left}", "{right}"], {"params": {**PAIR_PARAMS, key: value}}, 2)
+      for key, value in (("voxel", NAN), ("voxel", INF), ("voxel", 1e-300),
+                         ("protrusion", NAN), ("protrusion", INF), ("inlier_dist", NAN),
+                         ("ransac_iterations", 0), ("min_ground_inlier_ratio", NAN),
+                         ("min_ground_inlier_ratio", 1.5))),
+    # camera, birdview and scene values must be finite
+    (["mask"], {"intrinsics": {**SMALL_INTRINSICS, "fx": NAN}}, 2),
+    (["birdview", "{img}"], {**SMALL_CAMERA, "intrinsics": {**SMALL_INTRINSICS, "fx": NAN}}, 2),
+    (["birdview", "{img}"], {**SMALL_CAMERA, "intrinsics": {**SMALL_INTRINSICS, "fy": INF}}, 2),
+    *((["birdview", "{img}"], {**SMALL_CAMERA, "extrinsics": extrinsics}, 2) for extrinsics in (
+        {"position": [NAN, 0.0, 0.7]}, {"position": [-1.0, INF, 0.7]},
+        {"position": [-1.0, 0.0, 0.7], "rpy": [0.0, NAN, 0.0]})),
+    *((["birdview", "{img}"], {**SMALL_CAMERA, "birdview": birdview}, 2) for birdview in (
+        {"meters_per_pixel": NAN}, {"meters_per_pixel": INF}, {"view_center": [NAN, 0.0]},
+        {"view_yaw": NAN})),
+    (["render"], {"noise_sigma": NAN}, 2),
+    (["render"], {"noise_sigma": -1.0}, 2),
+    (["render"], {"noise_sigma": 2.0, "seed": -1}, 2),
+    # every command reads --config, so a missing config is an input error
+    (["--config", "{img}.missing", "mask"], SMALL_CAMERA, 2),
 ])
-def test_malformed_document_exit_code(tmp_path, argv, doc, code):
+def test_malformed_document_exit_code(tmp_path, stereo_pair, argv, doc, code):
     img = tmp_path / "img.ppm"
     write_ppm(img, np.full((8, 8, 3), 90, np.uint8))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    argv = [a.format(img=img) for a in argv] + [path, "--out", tmp_path / "out"]
-    assert run_cli(*argv) == code
+    left, right = stereo_pair
+    argv = [a.format(img=img, left=left, right=right) for a in argv]
+    assert run_cli(*argv, path, "--out", tmp_path / "out") == code
 
 
 @pytest.mark.parametrize("header", [b"P6\nab 2\n255\n", b"P5\n2 x\n255\n",
@@ -220,12 +256,12 @@ def stereo_pair(tmp_path_factory):
 
 
 @pytest.mark.parametrize("link_dist, code", [(0.1, 0), (0.0, 2), (float("nan"), 2),
-                                             (-0.1, 2), (float("inf"), 2)])
+                                             (-0.1, 2), (float("inf"), 2), (1e-300, 2)])
 def test_stereo_link_dist_exit_code(tmp_path, stereo_pair, link_dist, code):
-    # the pair has a ground plane and one obstacle above it, so clustering runs
+    # the pair has a ground plane and one obstacle above it, so clustering
+    # runs; a tiny link_dist would overflow the int64 cell keys
     rig = tmp_path / "rig.json"
-    rig.write_text(json.dumps({"params": {"voxel": 0.03, "protrusion": 0.08,
-                                          "link_dist": link_dist, "min_cluster_size": 8}}))
+    rig.write_text(json.dumps({"params": {**PAIR_PARAMS, "link_dist": link_dist}}))
     out = tmp_path / "stereo.json"
     assert run_cli("stereo", *stereo_pair, rig, "--out", out) == code
     if code == 0:
@@ -458,6 +494,17 @@ def test_json_outputs_byte_identical_under_seed(tmp_path, scene_file, args_build
         assert main(argv) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_seed_before_or_after_the_subcommand(tmp_path):
+    # the top-level --seed must survive parsing of the subcommand's copy
+    outs = []
+    for argv in (["--seed", 5, "gen-trajectory"], ["gen-trajectory", "--seed", 5],
+                 ["gen-trajectory"]):
+        out = tmp_path / "traj.json"
+        assert run_cli(*argv, "--steps", 3, "--out", out) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] != outs[2]
 
 
 def test_installed_entry_point_runs():

@@ -28,6 +28,10 @@ BIRDVIEW = {"out_width": 8, "out_height": 6, "meters_per_pixel": 0.2,
             "view_center": [0.3, 0.0], "view_yaw": 0.1}
 CAMERA = {"intrinsics": INTRINSICS, "extrinsics": EXTRINSICS, "birdview": BIRDVIEW}
 RIG = {"baseline": 0.062, "focal": 6.0, "cx": 3.5, "cy": 3.5, "width": 8, "height": 8}
+# a coarse grid keeps each plan short; retyping reaches FieldSpec.from_dict
+FIELD = {"length": 9.0, "width": 6.0, "cell_size": 0.25, "line_width": 0.05,
+         "circle": {"center": [0.0, 0.0], "radius": 0.75},
+         "goals": {"left": [-4.5, 0.0], "right": [4.5, 0.0], "width": 2.6}}
 SCENE = {"robot": [0.0, 0.0, 0.2], "obstacles": [[0.5, 0.0, 0.1, 0.3]],
          "noise_sigma": 2.0, "seed": 1}
 
@@ -36,7 +40,7 @@ COMMANDS = {
     "plan": (["plan", "{doc}"],
              {"ball": [0.5, 0.2], "robot": [0.0, 0.0, 0.2], "opponents": [[2.0, 0.1]],
               "teammates": [[3.0, 1.0, 0.0]], "kick_lengths": [0.5, 1.0, 2.0],
-              "goal": [4.5, 0.0], "ball_speed": 2.0},
+              "goal": [4.5, 0.0], "ball_speed": 2.0, "field": FIELD},
              ["--zero-heuristic", "--overlay"]),
     "detect-lines": (["detect-lines", "{img}", "--config", "{doc}"],
                      {"vision": {"nms_threshold": 5.0, "hough_votes": 3, "max_gap": 4.0,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fieldkit.ball_planner import _kick_graph
+from fieldkit.ball_planner import _travel_times
 from fieldkit.errors import InputError, OutOfField
 from fieldkit.field_model import (
     FieldSpec,
@@ -87,7 +87,8 @@ def test_out_of_field_raises(spec):
 
 def graph_row(spec, i, kicks):
     """Targets and center distances of cell i's row in the planner's kick graph."""
-    indptr, dst, dist = _kick_graph(spec, tuple(kicks))
+    # a ball speed of 1.0 leaves the center distances bit for bit
+    indptr, dst, dist = _travel_times(spec, tuple(kicks), 1.0)
     n = i.row * spec.n_cols + i.col
     lo, hi = indptr[n], indptr[n + 1]
     return [(GridIndex(int(t) // spec.n_cols, int(t) % spec.n_cols), float(d))
@@ -160,7 +161,7 @@ def test_kick_edges_symmetry_interior(spec):
 def test_kick_edges_empty_kicks_rejected(spec, kick_edges):
     for kicks in ([], [0.05]):
         with pytest.raises(InputError):
-            _kick_graph(spec, tuple(kicks))
+            _travel_times(spec, tuple(kicks), 1.0)
         with pytest.raises(InputError):
             kick_edges(GridIndex(0, 0), kicks, spec)
 

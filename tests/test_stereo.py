@@ -95,8 +95,8 @@ def test_doubling_disparity_halves_depth():
     for d in (2, 10, 30):
         one = np.full((21, 21), d, np.int32)
         two = np.full((21, 21), 2 * d, np.int32)
-        z1 = disparity_to_points(one, rig).points[:, 2]
-        z2 = disparity_to_points(two, rig).points[:, 2]
+        z1 = disparity_to_points(one, rig, step=1).points[:, 2]
+        z2 = disparity_to_points(two, rig, step=1).points[:, 2]
         np.testing.assert_allclose(z1, 2 * z2, rtol=1e-15)
 
 
@@ -104,7 +104,7 @@ def test_zero_and_invalid_disparity_skipped():
     rig = StereoRig()
     disp = np.zeros((8, 8), np.int32)
     disp[2, 2] = -1
-    assert len(disparity_to_points(disp, rig)) == 0
+    assert len(disparity_to_points(disp, rig, step=1)) == 0
 
 
 # --- voxel binning -----------------------------------------------------------
@@ -182,7 +182,7 @@ def test_ransac_collinear_degenerate():
     with pytest.raises(DegenerateCloud):
         ransac_plane(PointCloud(pts), iterations=50, inlier_dist=0.01, seed=0)
     with pytest.raises(DegenerateCloud):
-        ransac_plane(PointCloud(np.zeros((2, 3))), iterations=10, inlier_dist=0.01)
+        ransac_plane(PointCloud(np.zeros((2, 3))), iterations=10, inlier_dist=0.01, seed=0)
 
 
 # --- clustering --------------------------------------------------------------
@@ -223,6 +223,25 @@ def test_no_protruding_points_no_clusters():
     pc = PointCloud(ground_patch())
     plane = ransac_plane(pc, iterations=80, inlier_dist=0.02, seed=0)
     assert extract_clusters(pc, plane, 0.1, 0.15, 5) == []
+
+
+@pytest.mark.parametrize("stage", [
+    lambda pc, plane: voxel_bin(pc, math.nan, 1),
+    lambda pc, plane: voxel_bin(pc, math.inf, 1),
+    lambda pc, plane: voxel_bin(pc, 1e-300, 1),  # keys past int64
+    lambda pc, plane: ransac_plane(pc, 0, 0.02, seed=0),
+    lambda pc, plane: ransac_plane(pc, 10, math.nan, seed=0),
+    lambda pc, plane: extract_clusters(pc, plane, math.inf, 0.15, 5),
+    # link_dist is checked even when no point protrudes
+    lambda pc, plane: extract_clusters(pc, plane, 10.0, 0.0, 5),
+    lambda pc, plane: extract_clusters(pc, plane, 0.1, 1e-300, 5),
+])
+def test_stage_values_must_be_positive_and_finite(stage):
+    column = column_points(0.0, 1.0, 0.3, seed=4) + np.array([0, 0.3, 0])
+    pc = PointCloud(np.vstack([ground_patch(), column]))
+    plane = ransac_plane(pc, iterations=80, inlier_dist=0.02, seed=0)
+    with pytest.raises(InputError):
+        stage(pc, plane)
 
 
 def test_gap_splits_cluster_by_link_distance():
