@@ -127,39 +127,22 @@ def _travel_times(spec: FieldSpec, kicks: tuple[float, ...], ball_speed: float):
     here agree bit for bit with scalar compute_cost. Targets are intp, so
     the planner gathers with them without a cast per expansion.
     """
-    offsets = kick_offsets(spec, kicks)
+    dr, dc = kick_offsets(spec, kicks).T
     n_rows, n_cols = spec.n_rows, spec.n_cols
-    xs = spec.col_centers()
-    ys = spec.row_centers()
-    srcs, dsts, dists = [], [], []
-    for dr, dc in offsets:
-        r0, r1 = max(0, -dr), min(n_rows, n_rows - dr)
-        c0, c1 = max(0, -dc), min(n_cols, n_cols - dc)
-        if r0 >= r1 or c0 >= c1:
-            continue
-        rows = np.arange(r0, r1)
-        cols = np.arange(c0, c1)
-        rr, cc = np.meshgrid(rows, cols, indexing="ij")
-        src = (rr * n_cols + cc).ravel()
-        dst = ((rr + dr) * n_cols + (cc + dc)).ravel()
-        dx = xs[cc.ravel() + dc] - xs[cc.ravel()]
-        dy = ys[rr.ravel() + dr] - ys[rr.ravel()]
-        srcs.append(src)
-        dsts.append(dst)
-        dists.append(np.sqrt(dx * dx + dy * dy))
-    if not srcs:
-        empty = np.zeros(0)
-        return (np.zeros(n_rows * n_cols + 1, dtype=np.int64),
-                empty.astype(np.intp), empty)
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    dist = np.concatenate(dists)
-    order = np.argsort(src, kind="stable")
-    src, dst, dist = src[order], dst[order], dist[order]
-    indptr = np.zeros(n_rows * n_cols + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst.astype(np.intp), dist / ball_speed
+    tr = np.arange(n_rows)[:, None] + dr  # target row of (source row, offset)
+    tc = np.arange(n_cols)[:, None] + dc
+    # (rows, cols, offsets), row-major: each cell's in-field targets in offset order
+    inside = ((tr >= 0) & (tr < n_rows))[:, None] & ((tc >= 0) & (tc < n_cols))
+    rows, cols, k = np.nonzero(inside)
+    indptr = np.zeros(spec.cell_count + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=2), out=indptr[1:])
+    # center offsets per (source row or col, offset); % wraps the targets
+    # off the field, which no edge gathers
+    xs, ys = spec.col_centers(), spec.row_centers()
+    dx = xs[tc % n_cols] - xs[:, None]
+    dy = ys[tr % n_rows] - ys[:, None]
+    dist = np.sqrt((dx * dx)[cols, k] + (dy * dy)[rows, k])
+    return indptr, tr[rows, k] * n_cols + tc[cols, k], dist / ball_speed
 
 
 def _segment_blocked(a: Point, ends, opponents, radius: float) -> np.ndarray:

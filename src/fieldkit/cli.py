@@ -86,26 +86,31 @@ def _field_from_doc(doc, config):
     return FieldSpec() if doc is None else FieldSpec.from_dict(doc)
 
 
+def _section(doc, what, **flags):
+    """A JSON object section, an absent one (None) being empty, with the
+    flags that were given (not None) laid over it."""
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return {**doc, **{k: v for k, v in flags.items() if v is not None}}
+
+
 def _build(cls, doc, what, **given):
     """A frozen dataclass from a JSON object whose keys are its field names.
 
     float and int fields are converted by their annotation, and the class's
-    own checks run as usual. `given` holds the values the command owns; they
-    win over the document's. An absent section (None) is an empty one. An
-    unknown key, or a value that conversion or the class rejects, is an
-    InputError.
+    own checks run as usual. `given` holds the values the command fills in
+    itself; a document may not name them. An unknown key, or a value that
+    conversion or the class rejects, is an InputError.
     """
-    doc = {} if doc is None else doc
-    if not isinstance(doc, dict):
-        raise InputError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    doc = _section(doc, what)
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in given}
     convert = {"float": float, "int": int}  # annotations are strings in this package
     unknown = sorted(set(doc) - set(types))
     if unknown:
         raise InputError(f"{what}: unknown keys {unknown}; known: {sorted(types)}")
     try:
-        values = {k: convert.get(types[k], lambda v: v)(v)
-                  for k, v in doc.items() if k not in given}
+        values = {k: convert.get(types[k], lambda v: v)(v) for k, v in doc.items()}
         return cls(**values, **given)
     except (TypeError, ValueError, IndexError, OverflowError, KeyError) as exc:
         raise InputError(f"bad {what}: {exc}") from exc
@@ -130,14 +135,13 @@ def _noise_from_doc(doc, config):
     document's, a null "sigmas" being an absent one; "odom_noise" must be
     three finite non-negative numbers.
     """
-    config_sig, doc_sig = ({} if d.get("sigmas") is None else d["sigmas"]
-                           for d in (config, doc))
+    sig = {**_section(config.get("sigmas"), "config sigmas"),
+           **_section(doc.get("sigmas"), "sigmas")}
+    raw = doc.get("odom_noise", (0.02, 0.02, 0.02))
     try:
-        sig = {**config_sig, **doc_sig}
-        raw = doc.get("odom_noise", (0.02, 0.02, 0.02))
         odo = tuple(float(v) for v in raw) if isinstance(raw, (list, tuple)) else ()
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad sigmas or odom_noise: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"bad odom_noise: {exc}") from exc
     sm = _build(SensorModel, sig, "sigmas")
     if len(odo) != 3 or not all(math.isfinite(v) and v >= 0 for v in odo):
         raise InputError("odom_noise must be three finite non-negative numbers")
@@ -200,8 +204,9 @@ def _draw_marker(rgb, u, v, color):
 
 def cmd_detect_lines(args, config):
     raster = read_raster(args.image)
-    cfg = _build(VisionConfig, config.get("vision"), "vision config",
-                 seed=args.seed or 0, decimation=args.decimation, min_length=args.min_length)
+    vision = _section(config.get("vision"), "vision config", seed=args.seed,
+                      decimation=args.decimation, min_length=args.min_length)
+    cfg = _build(VisionConfig, vision, "vision config")
     lines, corners = detect_lines(raster, width_map=args.line_width_px, cfg=cfg)
     _dump_json({
         "lines": [{"p0": list(s.p0), "p1": list(s.p1), "length": s.length} for s in lines],
@@ -280,7 +285,8 @@ def cmd_stereo(args, config):
     doc = _load_json(args.rig)
     params_doc, ex_doc = doc.pop("params", None), doc.pop("extrinsics", None)
     rig = _build(StereoRig, doc, "rig")
-    params = _build(StereoParams, params_doc, "stereo params", seed=args.seed or 0)
+    params = _build(StereoParams, _section(params_doc, "stereo params", seed=args.seed),
+                    "stereo params")
     disparity = block_match(left, right, params.window, params.max_disparity)
     plane, clusters = obstacles_from_disparity(disparity, rig, params)
     result = {"plane": dataclasses.asdict(plane),
@@ -397,8 +403,8 @@ def build_parser():
 
     q = command(cmd_detect_lines, "detect field lines in a PGM/PPM image", "image")
     q.add_argument("--line-width-px", type=_number(float, 0, 1e6), default=5.0)
-    q.add_argument("--decimation", type=_number(int, 1, 10**6), default=VisionConfig.decimation)
-    q.add_argument("--min-length", type=_number(float, 0), default=VisionConfig.min_length)
+    q.add_argument("--decimation", type=_number(int, 1, 10**6), help="beats vision.decimation")
+    q.add_argument("--min-length", type=_number(float, 0), help="beats vision.min_length")
     q.add_argument("--overlay", default=None)
 
     q = command(cmd_birdview, "top-down resample of a camera image", "image")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -239,32 +238,24 @@ def cell_center(i: GridIndex, spec: FieldSpec) -> Point:
     return (x, y)
 
 
-@lru_cache(maxsize=16)
-def _kick_offsets(cell_size: float, kicks: tuple[float, ...]) -> tuple[tuple[int, int], ...]:
-    """Grid offsets whose center distance lies within half a cell of a kick length.
+def kick_offsets(spec: FieldSpec, kick_lengths) -> np.ndarray:
+    """Grid offsets (dr, dc) whose center distance lies within half a cell of a kick.
 
     Membership is evaluated on the ideal offset distance cell_size*sqrt(dr^2+dc^2),
     which is translation invariant, so an edge's membership never depends on
-    where the source cell sits.
+    where the source cell sits. Offsets are searched only within the grid
+    (|dr| < n_rows, |dc| < n_cols): a longer one has no in-field target from
+    any cell. Returns an (M, 2) intp array in row-major (dr, dc) order.
     """
-    reach = int(math.ceil((max(kicks) + cell_size / 2.0) / cell_size)) + 1
-    out = []
-    half = cell_size / 2.0
-    for dr in range(-reach, reach + 1):
-        for dc in range(-reach, reach + 1):
-            if dr == 0 and dc == 0:
-                continue
-            dist = cell_size * math.sqrt(dr * dr + dc * dc)
-            if any(abs(dist - k) <= half for k in kicks):
-                out.append((dr, dc))
-    return tuple(out)
-
-
-def kick_offsets(spec: FieldSpec, kick_lengths) -> tuple[tuple[int, int], ...]:
-    """Validated annulus offsets for a kick set (shared with the planner)."""
-    kicks = tuple(sorted(set(float(k) for k in kick_lengths)))
+    kicks = [float(k) for k in kick_lengths]
     if not kicks:
         raise InputError("kick_lengths must be non-empty")
     if any(k <= spec.cell_size for k in kicks):
         raise InputError("every kick length must exceed the cell size")
-    return _kick_offsets(spec.cell_size, kicks)
+    half = spec.cell_size / 2.0
+    reach = (max(kicks) + half) / spec.cell_size
+    rows, cols = (math.ceil(min(n - 1, reach)) for n in (spec.n_rows, spec.n_cols))
+    dr, dc = np.mgrid[-rows:rows + 1, -cols:cols + 1].reshape(2, -1)
+    dist = spec.cell_size * np.sqrt(dr * dr + dc * dc)
+    hit = (np.abs(dist[:, None] - np.array(kicks)) <= half).any(axis=1) & ((dr != 0) | (dc != 0))
+    return np.column_stack([dr[hit], dc[hit]])

@@ -411,12 +411,7 @@ def estimate_dominant_pose(particles: ParticleSet):
     mass = near @ w
     k = int(np.argmax(mass))
     sel = near[k]
-    ws = w[sel] / w[sel].sum()
-    sub = poses[sel]
-    x = float(ws @ sub[:, 0])
-    y = float(ws @ sub[:, 1])
-    theta = math.atan2(float(ws @ np.sin(sub[:, 2])), float(ws @ np.cos(sub[:, 2])))
-    return FieldPose(x, y, theta)
+    return estimate_pose(ParticleSet(poses[sel], w[sel]))[0]
 
 
 class MonteCarloFilter:

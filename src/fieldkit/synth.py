@@ -42,6 +42,11 @@ class Obstacle:
     radius: float
     height: float
 
+    def __post_init__(self):
+        check_fields(self, "obstacle", ((("x", "y"), math.isfinite, "finite"),
+                                        (("radius", "height"), lambda v: 0 < v < math.inf,
+                                         "positive and finite")))
+
 
 @dataclass(frozen=True)
 class Scene:

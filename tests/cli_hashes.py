@@ -9,9 +9,10 @@ The command set is acceptance criterion 8's (tests/test_acceptance.py),
 with its fixtures hashed too, plus what it leaves out: detect-lines on an
 image with corners and an overlay, stereo --cloud with extrinsics, birdview
 --bilinear, distort --mask-fov, localize --config with sigmas, plan
---zero-heuristic --overlay and pipeline-bench with --workers. Every command
-runs in one temporary directory and must exit 0. The name does not match
-pytest's test_*.py pattern, so the suite does not collect it.
+--zero-heuristic --overlay, pipeline-bench with --workers and detect-lines
+with its settings in a --config vision section. Every command runs in one
+temporary directory and must exit 0. The name does not match pytest's
+test_*.py pattern, so the suite does not collect it.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ DOCUMENTS = {
         "birdview": {"out_width": 320, "out_height": 240, "meters_per_pixel": 0.02},
         "noise_sigma": 4.0},
     "sigmas.json": {"sigmas": {"sigma_d": 0.2, "sigma_p": 0.25, "max_range": 3.5}},
+    # the config's values for the flags the corners.json command gives
+    "vision.json": {"vision": {"decimation": 2, "min_length": 30}},
     # the document's sigmas win over the config's, key by key
     "walk.json": {"sigmas": {"sigma_theta": 0.2}, "steps": [
         {"odometry": [0.1, 0.0, 0.05],
@@ -105,6 +108,9 @@ COMMANDS = [
     (["--seed", "9", "detect-lines", "field.ppm", "--line-width-px", "3", "--decimation", "2",
       "--min-length", "30", "--overlay", "corners.ppm", "--out", "corners.json"],
      ["corners.json", "corners.ppm"]),
+    # a config section sets what the flags set: the same hash as corners.json
+    (["--seed", "9", "--config", "vision.json", "detect-lines", "field.ppm",
+      "--line-width-px", "3", "--out", "corners_config.json"], ["corners_config.json"]),
     (["--seed", "9", "stereo", "pair_left.ppm", "pair_right.ppm", "rig_ex.json",
       "--cloud", "cloud.xyz", "--out", "stereo_cloud.json"], ["stereo_cloud.json", "cloud.xyz"]),
     (["--seed", "9", "birdview", "persp.ppm", "camera.json", "--bilinear",

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from fieldkit.ball_planner import _segment_blocked, _travel_times, time_to_approach_ball
-from fieldkit.field_model import GridIndex, cell_center, kick_offsets, pose_to_cell
+from fieldkit.errors import InputError
+from fieldkit.field_model import GridIndex, cell_center, pose_to_cell
 
 
 def _reference_dijkstra_cost(ctx, spec):
@@ -55,17 +56,23 @@ def reference_dijkstra_cost():
 def _kick_edges(i, kick_lengths, spec):
     """In-field cells reachable from cell i by one kick, with center distances.
 
-    The scalar twin of the planner's CSR kick graph, one cell at a time.
+    The scalar twin of the planner's CSR kick graph, one cell at a time: it
+    tests every other in-field cell against the ideal-distance rule, a
+    center offset cell_size*sqrt(dr^2+dc^2) within half a cell of a kick.
     """
-    offsets = kick_offsets(spec, kick_lengths)
+    kicks = [float(k) for k in kick_lengths]
+    if not kicks or min(kicks) <= spec.cell_size:
+        raise InputError("kicks must be non-empty and each longer than a cell")
     cx, cy = cell_center(i, spec)
     out = []
-    for dr, dc in offsets:
-        r, c = i.row + dr, i.col + dc
-        if 0 <= r < spec.n_rows and 0 <= c < spec.n_cols:
-            j = GridIndex(r, c)
-            tx, ty = cell_center(j, spec)
-            out.append((j, math.sqrt((tx - cx) ** 2 + (ty - cy) ** 2)))
+    for r in range(spec.n_rows):
+        for c in range(spec.n_cols):
+            dr, dc = r - i.row, c - i.col
+            ideal = spec.cell_size * math.sqrt(dr * dr + dc * dc)
+            if (dr or dc) and any(abs(ideal - k) <= spec.cell_size / 2 for k in kicks):
+                j = GridIndex(r, c)
+                tx, ty = cell_center(j, spec)
+                out.append((j, math.sqrt((tx - cx) ** 2 + (ty - cy) ** 2)))
     return out
 
 

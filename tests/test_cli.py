@@ -194,6 +194,15 @@ def test_count_too_large_for_memory_exit_code(tmp_path):
     (["render"], {"noise_sigma": 2.0, "seed": -1}, 2),
     # every command reads --config, so a missing config is an input error
     (["--config", "{img}.missing", "mask"], SMALL_CAMERA, 2),
+    # the command fills robot_pos, ball_pos, teammates and goal_center itself
+    (["plan"], {**PLAN, "goal_center": [-4.5, 0]}, 2),
+    (["plan"], {**PLAN, "robot_pos": [0, 0, 0]}, 2),
+    # an obstacle needs a finite position and a positive, finite size
+    (["render"], {"obstacles": [[0.5, 0, NAN, 0.3]]}, 2),
+    (["render"], {"obstacles": [[0.5, 0, 0.02, -0.3]]}, 2),
+    (["render"], {"obstacles": [[INF, 0, 0.02, 0.3]]}, 2),
+    # an integer too large for a float
+    (["gen-trajectory"], {"odom_noise": [10**400, 0, 0]}, 2),
 ])
 def test_malformed_document_exit_code(tmp_path, stereo_pair, argv, doc, code):
     img = tmp_path / "img.ppm"
@@ -268,6 +277,18 @@ def test_stereo_link_dist_exit_code(tmp_path, stereo_pair, link_dist, code):
         assert len(json.loads(out.read_text())["clusters"]) == 1
 
 
+def test_stereo_seed_flag_beats_the_params_seed(tmp_path, stereo_pair):
+    rig = tmp_path / "rig.json"
+    out = tmp_path / "stereo.json"
+
+    def stereo(seed, *flags):
+        rig.write_text(json.dumps({"params": {**PAIR_PARAMS, "seed": seed}}))
+        assert run_cli(*flags, "stereo", *stereo_pair, rig, "--out", out) == 0
+        return out.read_text()
+
+    assert stereo(5) == stereo(0, "--seed", 5) != stereo(0)
+
+
 def test_unwritable_output_exit_code(tmp_path, scene_file):
     assert run_cli("plan", scene_file, "--out", tmp_path / "missing" / "plan.json") == 2
 
@@ -281,11 +302,29 @@ def test_missing_files_exit_code(tmp_path):
     assert run_cli("pipeline-bench", tmp_path / "nope.json") == 2
 
 
-def test_plan_no_path_exit_code(tmp_path):
-    doc = {"ball": [0.0, 0.0], "robot": [0.0, 0.0, 0.0], "kick_lengths": [30.0]}
+@pytest.mark.parametrize("kick", [30.0, 300.0, 1e6, 1e308], ids=str)
+def test_plan_no_path_exit_code(tmp_path, kick):
+    # no kick longer than the field has an edge; none of them is slow to find
+    doc = {"ball": [0.0, 0.0], "robot": [0.0, 0.0, 0.0], "kick_lengths": [kick]}
     f = tmp_path / "scene.json"
     f.write_text(json.dumps(doc))
     assert run_cli("plan", f) == 3
+
+
+def test_detect_lines_flags_beat_the_vision_section(tmp_path, birdview_image):
+    config = tmp_path / "config.json"
+    out = tmp_path / "lines.json"
+
+    def detect(vision, *flags):
+        config.write_text(json.dumps({"vision": vision}))
+        assert run_cli("--config", config, "detect-lines", birdview_image,
+                       "--line-width-px", 2, *flags, "--out", out) == 0
+        return out.read_text()
+
+    flags = ("--decimation", 1, "--min-length", 10, "--seed", 4)
+    by_section = detect({"decimation": 1, "min_length": 10, "seed": 4})
+    assert by_section == detect({}, *flags) != detect({})
+    assert detect({"decimation": 3, "min_length": 60, "seed": 7}, *flags) == by_section
 
 
 def test_render_and_detect_lines(tmp_path):

@@ -125,11 +125,13 @@ def test_kick_edges_lengths_match_centers(spec, kick_edges):
 
 
 def test_kick_edges_clip_at_border(spec, kick_edges):
-    for corner in (GridIndex(0, 0), GridIndex(spec.n_rows - 1, spec.n_cols - 1)):
-        edges = assert_row_matches_oracle(spec, corner, [3.0], kick_edges)
-        assert edges
-        for j, _ in edges:
-            assert 0 <= j.row < spec.n_rows and 0 <= j.col < spec.n_cols
+    # 5.9 m and 8.9 m span the grid's rows and columns, 10.7 m its diagonal
+    for kicks in ([3.0], [5.9, 8.9], [10.7]):
+        for corner in (GridIndex(0, 0), GridIndex(spec.n_rows - 1, spec.n_cols - 1)):
+            edges = assert_row_matches_oracle(spec, corner, kicks, kick_edges)
+            assert edges
+            for j, _ in edges:
+                assert 0 <= j.row < spec.n_rows and 0 <= j.col < spec.n_cols
 
 
 def test_kick_edges_no_self_and_no_duplicates(spec, kick_edges):
@@ -142,7 +144,8 @@ def test_kick_edges_no_self_and_no_duplicates(spec, kick_edges):
 
 def test_kick_edges_match_oracle_on_random_cells(spec, kick_edges):
     rng = np.random.default_rng(5)
-    for kicks in ([0.5], [0.5, 1.0, 2.0], [2.0, 0.5, 1.0], [3.0, 0.75]):
+    # 9.5 m reaches past the 6 m width and 12 m past the 10.8 m diagonal
+    for kicks in ([0.5], [0.5, 1.0, 2.0], [2.0, 0.5, 1.0], [3.0, 0.75], [3.0, 9.5], [12.0]):
         for _ in range(15):
             i = GridIndex(int(rng.integers(spec.n_rows)), int(rng.integers(spec.n_cols)))
             assert_row_matches_oracle(spec, i, kicks, kick_edges)
