@@ -95,20 +95,22 @@ def _section(doc, what, **flags):
     return {**doc, **{k: v for k, v in flags.items() if v is not None}}
 
 
-def _build(cls, doc, what, **given):
+def _build(cls, doc, what, *taken, **given):
     """A frozen dataclass from a JSON object whose keys are its field names.
 
     float and int fields are converted by their annotation, and the class's
     own checks run as usual. `given` holds the values the command fills in
-    itself; a document may not name them. An unknown key, or a value that
-    conversion or the class rejects, is an InputError.
+    itself; a document may not name them. `taken` names the keys the command
+    already took out of the document, which the unknown-key message lists
+    with the fields. An unknown key, or a value that conversion or the class
+    rejects, is an InputError.
     """
     doc = _section(doc, what)
     types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in given}
     convert = {"float": float, "int": int}  # annotations are strings in this package
     unknown = sorted(set(doc) - set(types))
     if unknown:
-        raise InputError(f"{what}: unknown keys {unknown}; known: {sorted(types)}")
+        raise InputError(f"{what}: unknown keys {unknown}; known: {sorted([*types, *taken])}")
     try:
         values = {k: convert.get(types[k], lambda v: v)(v) for k, v in doc.items()}
         return cls(**values, **given)
@@ -159,8 +161,8 @@ def cmd_plan(args, config):
         teammates = tuple(FieldPose(*map(float, t)) for t in doc.pop("teammates", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"missing or bad scene value: {exc}") from exc
-    ctx = _build(PlanContext, doc, "scene", robot_pos=robot, ball_pos=ball,
-                 teammates=teammates, goal_center=goal)
+    ctx = _build(PlanContext, doc, "scene", "ball", "field", "goal", "robot", "teammates",
+                 robot_pos=robot, ball_pos=ball, teammates=teammates, goal_center=goal)
     plan = plan_ball_path(ctx, field, zero_heuristic=args.zero_heuristic)
     _dump_json({
         "waypoints": [[x, y] for x, y in plan.waypoints],
@@ -284,7 +286,7 @@ def cmd_stereo(args, config):
     left, right = read_raster(args.left), read_raster(args.right)
     doc = _load_json(args.rig)
     params_doc, ex_doc = doc.pop("params", None), doc.pop("extrinsics", None)
-    rig = _build(StereoRig, doc, "rig")
+    rig = _build(StereoRig, doc, "rig", "extrinsics", "params")
     params = _build(StereoParams, _section(params_doc, "stereo params", seed=args.seed),
                     "stereo params")
     disparity = block_match(left, right, params.window, params.max_disparity)

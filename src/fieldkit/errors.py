@@ -71,7 +71,7 @@ class DuplicateProducer(InputError):
 
 
 class FilterError(AlgorithmError):
-    """A pipeline filter raised; later batches were not started."""
+    """A pipeline filter raised; its frame published nothing."""
 
     def __init__(self, filter_name, cause):
         self.filter_name = filter_name

@@ -26,6 +26,9 @@ Point = tuple[float, float]
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
+# the most int32 cells (128 MiB) a Hough accumulator may take; a finer one is a MemoryError
+HOUGH_MAX_CELLS = 1 << 25
+
 
 @dataclass(frozen=True)
 class LineSegment:
@@ -224,13 +227,16 @@ def hough_segments(points, cfg: VisionConfig, rng) -> list[LineSegment]:
     rho, votes, max_gap, join_dist = cfg.hough_rho, cfg.hough_votes, cfg.max_gap, cfg.join_dist
     # rho = x cos t + y sin t is bounded by the largest point radius
     max_rho = float(np.hypot(pts[:, 0], pts[:, 1]).max()) + 1.0
-    # an accumulator too fine to size (numpy's ValueError, or OverflowError
-    # from an infinite bin count) is reported like one too large to allocate
+    # sized before anything is allocated; an infinite bin count overflows
     try:
-        thetas = np.arange(0.0, math.pi, cfg.hough_theta)
-        acc = np.zeros((int(2 * max_rho / rho) + 3, len(thetas)), dtype=np.int32)
-    except (ValueError, OverflowError) as exc:
-        raise MemoryError(f"Hough accumulator too large: {exc}") from exc
+        n_rho = int(2 * max_rho / rho) + 3
+        cells = n_rho * math.ceil(math.pi / cfg.hough_theta)  # np.arange's length
+    except OverflowError:
+        cells = math.inf
+    if cells > HOUGH_MAX_CELLS:
+        raise MemoryError(f"Hough accumulator of {cells} cells exceeds {HOUGH_MAX_CELLS}")
+    thetas = np.arange(0.0, math.pi, cfg.hough_theta)
+    acc = np.zeros((n_rho, len(thetas)), dtype=np.int32)
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
 

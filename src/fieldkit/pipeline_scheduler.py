@@ -1,9 +1,12 @@
 """Declarative filter-DAG executor.
 
-A pipeline is a set of named filters wired by slots; the batch plan groups
-filters whose inputs are already satisfied so each batch can run its
-filters concurrently. Filters with a frequency divider d run on every d-th
-frame; on other frames their output slots retain the last produced values.
+A pipeline is a set of named filters wired by slots. The batch plan
+validates the wiring and ranks the filters: batch by batch, by name inside
+a batch. Within a frame, each filter starts as soon as the filters that
+produce its inputs have ended (list scheduling, Graham 1966), and the
+frame publishes its slots only once all of its filters have ended. Filters
+with a frequency divider d run on every d-th frame; on other frames their
+output slots retain the last produced values.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import functools
 import json
 import os
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from collections import ChainMap, deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from .errors import CycleError, DuplicateProducer, FilterError, InputError, UnknownSlot
@@ -86,10 +89,27 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """Ordered batches of filter names; producers always land in earlier batches."""
+    """Ordered batches of filter names; producers always land in earlier batches.
+
+    The batches flattened are the filters' rank: run_frame launches ready
+    filters and blames failures in that order.
+    """
 
     spec: PipelineSpec
     batches: tuple[tuple[str, ...], ...]
+
+    @functools.cached_property
+    def rank(self) -> dict[str, int]:
+        """Each filter's position in the batches flattened."""
+        return {name: k for k, name in enumerate(n for batch in self.batches for n in batch)}
+
+    @functools.cached_property
+    def producers(self) -> dict[str, frozenset[str]]:
+        """Each filter's producers (the filters whose outputs it reads), in rank order."""
+        producer = self.spec.producer_of()
+        by_name = self.spec.by_name()
+        return {name: frozenset(producer[s] for s in by_name[name].inputs if s in producer)
+                for name in self.rank}
 
 
 def parse_pipeline(document: str) -> PipelineSpec:
@@ -161,11 +181,11 @@ class RunContext:
 
     Slot payloads must be treated as immutable once published for a frame;
     skipped filters leave their previous outputs (EMPTY before first run).
-    The log holds the latest LOG_LIMIT execution records. Batches run on a
-    pool of max_workers threads (None: one per CPU), made on first use and
-    reused until close(); max_workers=1 runs every filter inline. The first
-    failure in batch order is blamed: an InputError propagates, any other
-    exception becomes FilterError(name).
+    The store changes only when a frame has succeeded, and then takes all
+    of that frame's sources and outputs at once. The log holds the latest
+    LOG_LIMIT execution records. Filters run on a pool of max_workers
+    threads (None: one per CPU), made on first use and reused until
+    close(); max_workers=1 runs every filter inline.
     """
 
     sources: dict = field(default_factory=dict)
@@ -175,7 +195,7 @@ class RunContext:
     _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False)
 
     def pool(self) -> ThreadPoolExecutor:
-        """The worker pool of the parallel batches, created on first use."""
+        """The worker pool of pooled frames, created on first use."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.max_workers or os.cpu_count() or 1)
         return self._pool
@@ -189,14 +209,19 @@ class RunContext:
 
 def run_frame(plan: BatchPlan, registry: dict, frame_index: int,
               context: RunContext) -> dict:
-    """Execute one frame through the batch plan; returns the slot store.
+    """Execute one frame of the plan; returns the slot store.
 
-    A filter is due iff frame_index % divider == 0. Due filters run inline,
-    or on the context's pool when a batch has two or more and max_workers
-    is not 1; a batch publishes only once it has ended. The first failure in
-    batch order aborts the frame: an InputError propagates, any other
-    exception becomes FilterError(name). Inline, the batch's later filters
-    never run; later batches never start.
+    A filter is due iff frame_index % divider == 0. A due filter is
+    launched once every due filter producing its inputs has ended, lowest
+    rank first, and reads the frame's own results before the store. With
+    two or more due filters and max_workers other than 1, filters run on
+    the context's pool; otherwise one at a time inline, in rank order. The
+    frame publishes to the store only once all of it has succeeded.
+
+    After a failure only filters ranked before the lowest-ranked failure
+    so far are launched; those already running are awaited. Then the
+    lowest-ranked failure is raised: an InputError propagates, any other
+    exception becomes FilterError(name).
     """
     if frame_index < 0:
         raise InputError("frame_index must be >= 0")
@@ -208,13 +233,13 @@ def run_frame(plan: BatchPlan, registry: dict, frame_index: int,
     store = context.store
     if not store:
         store.update(dict.fromkeys([*spec.producer_of(), *spec.source_slots], EMPTY))
-    for slot in spec.source_slots:
-        if slot in context.sources:
-            store[slot] = context.sources[slot]
+    overlay = {slot: context.sources[slot] for slot in spec.source_slots
+               if slot in context.sources}
+    view = ChainMap(overlay, store)
 
     def execute(name):
         f = by_name[name]
-        inputs = {slot: store[slot] for slot in f.inputs}
+        inputs = {slot: view[slot] for slot in f.inputs}
         start = time.perf_counter()
         result = registry[name](inputs)
         end = time.perf_counter()
@@ -225,26 +250,47 @@ def run_frame(plan: BatchPlan, registry: dict, frame_index: int,
         context.log.append(ExecutionRecord(name, frame_index, start, end))
         return result or {}
 
-    for batch in plan.batches:
-        due = [name for name in batch
-               if frame_index % by_name[name].frequency_divider == 0]
-        if len(due) > 1 and context.max_workers != 1:
-            futures = [context.pool().submit(execute, name) for name in due]
-            wait(futures)  # the whole batch ends before it publishes or raises
-            outcomes = [future.result for future in futures]
-        else:
-            outcomes = [functools.partial(execute, name) for name in due]
-        results = []
-        for name, outcome in zip(due, outcomes):  # batch order decides the blame
-            try:
-                results.append(outcome())
-            except InputError:
-                raise
-            except Exception as exc:
-                raise FilterError(name, exc) from exc
-        # publish after the whole batch completes
-        for result in results:
-            store.update(result)
+    due = {name for name, f in by_name.items() if frame_index % f.frequency_divider == 0}
+    # due filters in rank order, each with the due producers it still waits for
+    waiting = {name: set(producers & due) for name, producers in plan.producers.items()
+               if name in due}
+    pooled = len(due) > 1 and context.max_workers != 1
+
+    def launch(name):
+        if pooled:
+            return context.pool().submit(execute, name)
+        future = Future()
+        try:
+            future.set_result(execute(name))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    rank, running = plan.rank, {}
+    cutoff, blamed = len(rank), None  # no filter ranked at or after a failure launches
+    while waiting or running:
+        ready = [name for name, producers in waiting.items()
+                 if not producers and rank[name] < cutoff]
+        for name in ready if pooled else ready[:1]:
+            del waiting[name]
+            running[launch(name)] = name
+        if not running:
+            break  # the rest reads a failed filter's outputs, or ranks after one
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in done:
+            name = running.pop(future)
+            if future.exception() is None:
+                overlay.update(future.result())
+                for producers in waiting.values():
+                    producers.discard(name)
+            elif rank[name] < cutoff:
+                cutoff, blamed = rank[name], (name, future.exception())
+    if blamed is not None:
+        name, exc = blamed
+        if isinstance(exc, InputError):
+            raise exc
+        raise FilterError(name, exc) from exc
+    store.update(overlay)
     return store
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_plan_input_error_exit_code(tmp_path):
                 {**ok, "opponent_radius": nan, "opponents": [[1.0, 0.1]]}):
         bad.write_text(json.dumps(doc))
         assert run_cli("plan", bad) == 2, doc
+
+
+def test_unknown_key_message_lists_every_key_a_document_may_set(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**PLAN, "bogus": 1}))
+    assert run_cli("plan", bad) == 2
+    known = ["ball", "ball_speed", "field", "goal", "kick_lengths", "opponent_radius",
+             "opponents", "robot", "teammates", "turn_speed", "walk_speed"]
+    assert f"unknown keys ['bogus']; known: {known}" in capsys.readouterr().err
+    image = tmp_path / "image.ppm"
+    write_ppm(image, np.zeros((8, 8, 3), dtype=np.uint8))
+    bad.write_text(json.dumps({**SMALL_RIG, "bogus": 1}))
+    assert run_cli("stereo", image, image, bad) == 2
+    known = ["baseline", "cx", "cy", "extrinsics", "focal", "height", "params", "width"]
+    assert f"unknown keys ['bogus']; known: {known}" in capsys.readouterr().err
 
 
 def test_render_non_object_document_exit_code(tmp_path):
@@ -236,18 +252,24 @@ def birdview_image(tmp_path_factory):
     return work / "bird.ppm"
 
 
-@pytest.mark.parametrize("vision, code", [({}, 0), ({"hough_theta": 1e-300}, 2),
+@pytest.mark.parametrize("vision, code", [({}, 0), ({"hough_theta": 1e-4}, 0),
+                                          ({"hough_theta": 1e-7}, 2),
+                                          ({"hough_theta": 1e-300}, 2),
                                           ({"hough_rho": 1e-300}, 2),
                                           ({"hough_rho": 5e-324}, 2)], ids=str)
 def test_hough_bins_too_fine_to_allocate_exit_code(tmp_path, birdview_image, vision, code):
-    # the image has lines, so candidates reach the Hough accumulator
+    # the image has lines, so candidates reach the Hough accumulator; one too
+    # fine is refused before it is allocated, so the refusal is quick
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"vision": vision}))
     out = tmp_path / "lines.json"
+    start = time.perf_counter()
     assert run_cli("--config", config, "detect-lines", birdview_image,
                    "--line-width-px", 2, "--out", out) == code
     if code == 0:
         assert json.loads(out.read_text())["lines"]
+    else:
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.fixture(scope="module")

@@ -441,3 +441,99 @@ def test_log_stays_bounded_over_long_runs():
     assert len(ctx.log) == LOG_LIMIT
     assert [(r.filter_name, r.frame_index) for r in list(ctx.log)[-2:]] == \
         [("a", 9999), ("b", 9999)]
+
+
+# --- dataflow dispatch and frame publishing ---------------------------------
+
+def failing(exc_type, record, name):
+    def fn(inputs):
+        record[name] = time.perf_counter()
+        raise exc_type("kaput")
+    return fn
+
+
+def sleeping(seconds, outputs):
+    def fn(inputs):
+        time.sleep(seconds)
+        return {o: ("v", tuple(sorted(inputs))) for o in outputs}
+    return fn
+
+
+def test_late_fast_failure_waits_for_an_earlier_ranked_failure():
+    # ranks: a_slow 0, b_quick 1, c_early 2, d_quick 3, e_late 4; e_late fails
+    # first in time, while c_early still waits for a_slow, but c_early ranks first
+    spec = parse_pipeline(doc([
+        {"name": "a_slow", "inputs": ["frame"], "outputs": ["x"]},
+        {"name": "b_quick", "inputs": ["frame"], "outputs": ["q0"]},
+        {"name": "c_early", "inputs": ["x"], "outputs": ["y"]},
+        {"name": "d_quick", "inputs": ["q0"], "outputs": ["q1"]},
+        {"name": "e_late", "inputs": ["q1"], "outputs": ["z"]},
+    ]))
+    plan = compute_batches(spec)
+    assert plan.batches == (("a_slow", "b_quick"), ("c_early", "d_quick"), ("e_late",))
+    failed_at = {}
+    registry = {"a_slow": sleeping(0.1, ["x"]), "b_quick": passthrough(["q0"]),
+                "c_early": failing(RuntimeError, record=failed_at, name="c_early"),
+                "d_quick": passthrough(["q1"]),
+                "e_late": failing(ValueError, record=failed_at, name="e_late")}
+    ctx = RunContext(max_workers=2)
+    ctx.sources = {"frame": 0}
+    try:
+        with pytest.raises(FilterError) as err:
+            run_frame(plan, registry, 0, ctx)
+    finally:
+        ctx.close()
+    assert failed_at["e_late"] < failed_at["c_early"]  # the late filter did fail first
+    assert err.value.filter_name == "c_early"
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def test_filter_starts_when_its_producers_end_not_its_batch():
+    spec = parse_pipeline(doc([
+        {"name": "a_fast", "inputs": ["frame"], "outputs": ["x"]},
+        {"name": "b_slow", "inputs": ["frame"], "outputs": ["y"]},
+        {"name": "c", "inputs": ["x"], "outputs": ["z"]},
+    ]))
+    plan = compute_batches(spec)
+    assert plan.batches == (("a_fast", "b_slow"), ("c",))
+    registry = {"a_fast": passthrough(["x"]), "b_slow": sleeping(0.1, ["y"]),
+                "c": passthrough(["z"])}
+    ctx = RunContext(max_workers=2)
+    ctx.sources = {"frame": 0}
+    try:
+        run_frame(plan, registry, 0, ctx)
+    finally:
+        ctx.close()
+    records = {r.filter_name: r for r in ctx.log}
+    assert records["a_fast"].end <= records["c"].start < records["b_slow"].end
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_frame_publishes_nothing(workers):
+    # a and b succeed on frame 1 before c fails; the store keeps frame 0
+    spec = parse_pipeline(doc([
+        {"name": "a", "inputs": ["frame"], "outputs": ["x"]},
+        {"name": "b", "inputs": ["frame"], "outputs": ["y"]},
+        {"name": "c", "inputs": ["x", "y"], "outputs": ["z"]},
+    ]))
+    plan = compute_batches(spec)
+
+    def c(inputs):
+        if inputs["x"] == 1:
+            raise RuntimeError("kaput")
+        return {"z": inputs["x"]}
+
+    registry = {"a": lambda inputs: {"x": inputs["frame"]},
+                "b": lambda inputs: {"y": inputs["frame"]}, "c": c}
+    ctx = RunContext(max_workers=workers)
+    try:
+        ctx.sources = {"frame": 0}
+        run_frame(plan, registry, 0, ctx)
+        frame0 = dict(ctx.store)
+        ctx.sources = {"frame": 1}
+        with pytest.raises(FilterError):
+            run_frame(plan, registry, 1, ctx)
+    finally:
+        ctx.close()
+    assert [r.filter_name for r in ctx.log if r.frame_index == 1] in (["a", "b"], ["b", "a"])
+    assert ctx.store == frame0 == {"frame": 0, "x": 0, "y": 0, "z": 0}
