@@ -267,8 +267,8 @@ def cmd_localize(args, config):
             obs = [RobotObservation.from_dict(o) for o in step["observations"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"step {k} needs 'odometry' and a list of 'observations'") from exc
-        if len(odometry) != 3:
-            raise InputError(f"step {k}: odometry must be [dx, dy, dtheta]")
+        if len(odometry) != 3 or not all(map(math.isfinite, odometry)):
+            raise InputError(f"step {k}: odometry must be finite [dx, dy, dtheta], got {odometry}")
         f.step(odometry, odo, obs)
         est, (sxy, sth) = f.estimate()
         mode = f.dominant()
@@ -289,7 +289,7 @@ def cmd_stereo(args, config):
     rig = _build(StereoRig, doc, "rig", "extrinsics", "params")
     params = _build(StereoParams, _section(params_doc, "stereo params", seed=args.seed),
                     "stereo params")
-    disparity = block_match(left, right, params.window, params.max_disparity)
+    disparity = block_match(left, right, params)
     plane, clusters = obstacles_from_disparity(disparity, rig, params)
     result = {"plane": dataclasses.asdict(plane),
               "clusters": [dataclasses.asdict(c) for c in clusters]}
@@ -298,7 +298,7 @@ def cmd_stereo(args, config):
         result["clusters_field"] = [list(p) for p in clusters_to_field(clusters, ex)]
     _dump_json(result, args.out)
     if args.cloud:
-        pc = disparity_to_points(disparity, rig, params.step)
+        pc = disparity_to_points(disparity, rig, params)
         _write_text("".join(f"{x} {y} {z}\n" for x, y, z in pc.points), args.cloud)
     return 0
 

@@ -102,6 +102,7 @@ class VisionConfig:
     def __post_init__(self):
         checks = (
             (("decimation", "nms_radius", "hough_votes"), lambda v: v >= 1, "at least 1"),
+            (("seed",), lambda v: v >= 0, "non-negative"),
             (("hough_rho",), lambda v: 0 < v < math.inf, "positive and finite"),
             (("hough_theta",), lambda v: 0 < v <= math.pi, "in (0, pi]"),
             (("luma_weight", "green_weight", "nms_threshold"), math.isfinite, "finite"),

@@ -53,6 +53,9 @@ class RobotObservation:
             raise InputError(f"{self.kind} observation needs a position")
         if self.kind == CORNER and self.orientation is None:
             raise InputError("corner observation needs an orientation")
+        values = (self.distance, self.direction, self.orientation, *(self.position or ()))
+        if not all(math.isfinite(v) for v in values if v is not None):
+            raise InputError(f"{self.kind} observation values must be finite")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -67,16 +70,17 @@ class RobotObservation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RobotObservation":
+        """The canonical observation a document describes, as the constructors build it."""
         try:
             kind = d["kind"]
             if kind == LINE:
-                return cls(kind=LINE, distance=float(d["distance"]),
-                           direction=float(d["direction"]))
+                return line_observation(float(d["distance"]), float(d["direction"]))
             x, y = d["position"]
-            pos = (float(x), float(y))
             if kind == CORNER:
-                return cls(kind=CORNER, position=pos, orientation=float(d["orientation"]))
-            return cls(kind=kind, position=pos)  # __post_init__ rejects an unknown kind
+                return corner_observation((x, y), float(d["orientation"]))
+            if kind == POINT:
+                return point_observation((x, y))
+            return cls(kind=kind, position=(x, y))  # __post_init__ rejects an unknown kind
         except KeyError as exc:
             raise InputError(f"observation missing field {exc}") from exc
         except (TypeError, ValueError) as exc:

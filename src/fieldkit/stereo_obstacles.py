@@ -4,6 +4,7 @@ A rectified pair goes through SAD block matching with a left-right
 consistency check, reprojection of the disparity map to a camera-frame
 point cloud, voxel binning for noise rejection, a RANSAC ground-plane fit,
 and single-linkage clustering of the points protruding above the plane.
+Each stage reads its settings from a StereoParams, checked when it is built.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloud, DimensionMismatch, InputError
+from .errors import DegenerateCloud, DimensionMismatch, InputError, check_fields
 from .geometry import connected_components
 from .raster import Raster
 
@@ -33,12 +34,14 @@ class StereoRig:
     height: int = 240
 
     def __post_init__(self):
-        if self.baseline <= 0 or self.focal <= 0:
-            raise InputError("baseline and focal must be positive")
+        check_fields(self, "rig", ((("baseline", "focal"), lambda v: 0 < v < math.inf,
+                                    "positive and finite"),))
 
 
 @dataclass(frozen=True)
 class StereoParams:
+    """Every stereo setting; each stage of detect_obstacles reads its own."""
+
     window: int = 9
     max_disparity: int = 64
     step: int = 2
@@ -51,6 +54,16 @@ class StereoParams:
     min_cluster_size: int = 10
     min_ground_inlier_ratio: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self, "stereo params", (
+            (("window",), lambda v: v >= 1 and v % 2 == 1, "odd and at least 1"),
+            (("max_disparity", "seed"), lambda v: v >= 0, "non-negative"),
+            (("step", "ransac_iterations"), lambda v: v >= 1, "at least 1"),
+            (("voxel", "inlier_dist", "protrusion", "link_dist"),
+             lambda v: 0 < v < math.inf, "positive and finite"),
+            (("min_ground_inlier_ratio",), lambda v: 0 <= v <= 1, "in [0, 1]"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -117,7 +130,7 @@ def _key_dtype(window: int, shift: int):
     return np.int32 if (255 * window * window + 1) << shift < 2**31 else np.int64
 
 
-def block_match(left: Raster, right: Raster, window: int, max_disparity: int) -> np.ndarray:
+def block_match(left: Raster, right: Raster, params: StereoParams) -> np.ndarray:
     """Integer disparity map minimizing windowed SAD.
 
     Returns int32 (H, W); invalid pixels are -1. Flat-cost ties resolve to
@@ -136,12 +149,9 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int) ->
     """
     if left.luma.shape != right.luma.shape:
         raise DimensionMismatch("stereo pair shapes differ")
-    if window % 2 == 0 or window < 1:
-        raise InputError("window must be odd and positive")
-    if max_disparity < 0:
-        raise InputError("max_disparity must be non-negative")
+    window = params.window
     h, w = left.luma.shape
-    n_d = max_disparity + 1
+    n_d = params.max_disparity + 1
     n_layers = min(n_d, w - window + 1)
     disparity = np.full((h, w), -1, dtype=np.int32)
     if h < window or n_layers < 1:
@@ -196,13 +206,11 @@ def block_match(left: Raster, right: Raster, window: int, max_disparity: int) ->
     return disparity
 
 
-def disparity_to_points(disparity: np.ndarray, rig: StereoRig, step: int) -> PointCloud:
-    """Reproject valid, positive disparities on a step grid: Z = f b / d."""
-    if step < 1:
-        raise InputError("step must be >= 1")
+def disparity_to_points(disparity: np.ndarray, rig: StereoRig, params: StereoParams) -> PointCloud:
+    """Reproject valid, positive disparities on a params.step grid: Z = f b / d."""
     d = np.asarray(disparity)
-    vs, us = np.mgrid[0:d.shape[0]:step, 0:d.shape[1]:step]
-    dd = d[::step, ::step].astype(float)
+    vs, us = np.mgrid[0:d.shape[0]:params.step, 0:d.shape[1]:params.step]
+    dd = d[::params.step, ::params.step].astype(float)
     keep = dd > 0
     dd = dd[keep]
     us = us[keep].astype(float)
@@ -216,16 +224,14 @@ def disparity_to_points(disparity: np.ndarray, rig: StereoRig, step: int) -> Poi
 def _cell_keys(points: np.ndarray, size: float, name: str) -> np.ndarray:
     """floor(points / size) as int64 cell keys, each with room for a
     neighbour's +/-1; a tiny size on a wide cloud is refused."""
-    if not 0 < size < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {size!r}")
     if len(points) and not float(np.abs(points).max()) < 2.0**62 * size:
         raise InputError(f"{name} {size!r} is too small for the cloud: cell keys overflow int64")
     return np.floor(points / size).astype(np.int64)
 
 
-def voxel_bin(pc: PointCloud, voxel: float, min_points_per_voxel: int) -> PointCloud:
+def voxel_bin(pc: PointCloud, params: StereoParams) -> PointCloud:
     """Centroid per occupied voxel; voxels with too few points are dropped."""
-    keys = _cell_keys(pc.points, voxel, "voxel")
+    keys = _cell_keys(pc.points, params.voxel, "voxel")
     if len(pc) == 0:
         return PointCloud(np.zeros((0, 3)))
     # voxel ids in np.unique(keys, axis=0)'s lexicographic order
@@ -239,7 +245,7 @@ def voxel_bin(pc: PointCloud, voxel: float, min_points_per_voxel: int) -> PointC
     # bincount adds each voxel's points in index order, as np.add.at does
     sums = np.column_stack([np.bincount(inverse, weights=pc.points[:, j]) for j in range(3)])
     centroids = sums / counts[:, None]
-    return PointCloud(centroids[counts >= min_points_per_voxel])
+    return PointCloud(centroids[counts >= params.min_points_per_voxel])
 
 
 def _canonical_orientation(n: np.ndarray) -> np.ndarray:
@@ -250,20 +256,15 @@ def _canonical_orientation(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def ransac_plane(pc: PointCloud, iterations: int, inlier_dist: float,
-                 seed: int) -> GroundPlane:
+def ransac_plane(pc: PointCloud, params: StereoParams) -> GroundPlane:
     """Classic 3-point RANSAC followed by a least-squares refit over inliers."""
-    if iterations < 1:
-        raise InputError(f"ransac_iterations must be at least 1, got {iterations!r}")
-    if not 0 < inlier_dist < math.inf:
-        raise InputError(f"inlier_dist must be positive and finite, got {inlier_dist!r}")
     pts = pc.points
     if len(pts) < 3:
         raise DegenerateCloud(f"need at least 3 points, got {len(pts)}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(params.seed)
     best_count = 0
     best = None
-    for _ in range(iterations):
+    for _ in range(params.ransac_iterations):
         i, j, k = rng.choice(len(pts), 3, replace=False)
         n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
         norm = np.linalg.norm(n)
@@ -271,44 +272,42 @@ def ransac_plane(pc: PointCloud, iterations: int, inlier_dist: float,
             continue  # collinear sample
         n = n / norm
         d = float(n @ pts[i])
-        count = int((np.abs(pts @ n - d) <= inlier_dist).sum())
+        count = int((np.abs(pts @ n - d) <= params.inlier_dist).sum())
         if count > best_count:
             best_count = count
             best = (n, d)
     if best is None:
         raise DegenerateCloud("all RANSAC samples were collinear")
     n, d = best
-    inliers = pts[np.abs(pts @ n - d) <= inlier_dist]
+    inliers = pts[np.abs(pts @ n - d) <= params.inlier_dist]
     centroid = inliers.mean(axis=0)
     _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
     n_ref = _canonical_orientation(vt[-1])
     d_ref = float(n_ref @ centroid)
-    count = int((np.abs(pts @ n_ref - d_ref) <= inlier_dist).sum())
+    count = int((np.abs(pts @ n_ref - d_ref) <= params.inlier_dist).sum())
     return GroundPlane(normal=tuple(float(v) for v in n_ref), offset=d_ref,
                        inlier_count=count)
 
 
-def extract_clusters(pc: PointCloud, plane: GroundPlane, protrusion: float,
-                     link_dist: float, min_size: int) -> list[ObstacleCluster]:
+def extract_clusters(pc: PointCloud, plane: GroundPlane,
+                     params: StereoParams) -> list[ObstacleCluster]:
     """Single-linkage clusters of points protruding above the ground plane.
 
     Neighbor search runs on a uniform grid of cell size link_dist, which
     gives the same connectivity as a KD-tree Euclidean clustering.
     """
-    if not 0 < protrusion < math.inf:
-        raise InputError(f"protrusion must be positive and finite, got {protrusion!r}")
     heights = plane.height_above(pc.points)
-    sel = np.flatnonzero(heights > protrusion)
+    sel = np.flatnonzero(heights > params.protrusion)
     pts = pc.points[sel]
     hts = heights[sel]
-    cells = _cell_keys(pts, link_dist, "link_dist")
+    cells = _cell_keys(pts, params.link_dist, "link_dist")
     if len(sel) == 0:
         return []
     buckets: dict[tuple, list[int]] = {}
     for idx, c in enumerate(map(tuple, cells)):
         buckets.setdefault(c, []).append(idx)
 
-    link2 = link_dist * link_dist
+    link2 = params.link_dist * params.link_dist
     offsets = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
     pairs = []
     for cell, members in buckets.items():
@@ -324,7 +323,7 @@ def extract_clusters(pc: PointCloud, plane: GroundPlane, protrusion: float,
 
     clusters = []
     for members in connected_components(len(pts), pairs):
-        if len(members) < min_size:
+        if len(members) < params.min_cluster_size:
             continue
         sub = pts[members]
         centroid = sub.mean(axis=0)
@@ -357,7 +356,7 @@ def detect_obstacles(left: Raster, right: Raster, rig: StereoRig,
                      params: StereoParams = StereoParams()):
     """Full stereo chain, block_match then obstacles_from_disparity;
     returns (GroundPlane, clusters)."""
-    disparity = block_match(left, right, params.window, params.max_disparity)
+    disparity = block_match(left, right, params)
     return obstacles_from_disparity(disparity, rig, params)
 
 
@@ -367,16 +366,9 @@ def obstacles_from_disparity(disparity: np.ndarray, rig: StereoRig, params: Ster
     Raises DegenerateCloud when the cloud cannot support a confident ground
     fit (too few points or the inlier ratio below the configured floor).
     """
-    if not 0 <= params.min_ground_inlier_ratio <= 1:
-        raise InputError("min_ground_inlier_ratio must lie in [0, 1], "
-                         f"got {params.min_ground_inlier_ratio!r}")
-    cloud = disparity_to_points(disparity, rig, params.step)
-    binned = voxel_bin(cloud, params.voxel, params.min_points_per_voxel)
-    plane = ransac_plane(binned, params.ransac_iterations, params.inlier_dist,
-                         params.seed)
+    binned = voxel_bin(disparity_to_points(disparity, rig, params), params)
+    plane = ransac_plane(binned, params)
     if plane.inlier_count < params.min_ground_inlier_ratio * len(binned):
         raise DegenerateCloud(
             f"ground support too low: {plane.inlier_count}/{len(binned)} inliers")
-    clusters = extract_clusters(binned, plane, params.protrusion,
-                                params.link_dist, params.min_cluster_size)
-    return plane, clusters
+    return plane, extract_clusters(binned, plane, params)

@@ -400,7 +400,7 @@ def test_criterion_7_stereo():
                     width=320, height=240)
     rng = np.random.default_rng(0)
     disp = rng.integers(1, 65, (240, 320)).astype(np.int32)
-    pc = disparity_to_points(disp, rig, step=1)
+    pc = disparity_to_points(disp, rig, StereoParams(step=1))
     np.testing.assert_allclose(pc.points[:, 2] * disp.ravel().astype(float),
                                rig.focal * rig.baseline, rtol=1e-15)
 
@@ -414,7 +414,8 @@ def test_criterion_7_stereo():
                                srng.normal(0, 0.005, 800)])
         out = np.column_stack([srng.uniform(-1, 1, 200), srng.uniform(-1, 1, 200),
                                srng.uniform(0.2, 0.5, 200)])
-        plane = ransac_plane(PointCloud(np.vstack([inl, out])), 100, 0.02, seed)
+        plane = ransac_plane(PointCloud(np.vstack([inl, out])),
+                             StereoParams(ransac_iterations=100, inlier_dist=0.02, seed=seed))
         angles.append(math.degrees(math.acos(
             min(1.0, abs(np.asarray(plane.normal) @ np.array([0, 0, 1.0]))))))
     median_angle = float(np.median(angles))

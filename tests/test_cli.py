@@ -189,7 +189,8 @@ def test_count_too_large_for_memory_exit_code(tmp_path):
     # plan scene keys are PlanContext's fields plus robot, ball, goal and field
     (["plan"], {**PLAN, "bogus": 1}, 2),
     (["plan"], {**PLAN, "ball": {"x": 0.5}}, 2),
-    # stereo stage values on the rendered pair, where every stage runs
+    # stereo params on the rendered pair: a bad value exits 2 when the params
+    # are built, and a voxel too fine for the cloud when voxel_bin runs
     *((["stereo", "{left}", "{right}"], {"params": {**PAIR_PARAMS, key: value}}, 2)
       for key, value in (("voxel", NAN), ("voxel", INF), ("voxel", 1e-300),
                          ("protrusion", NAN), ("protrusion", INF), ("inlier_dist", NAN),
@@ -219,6 +220,15 @@ def test_count_too_large_for_memory_exit_code(tmp_path):
     (["render"], {"obstacles": [[INF, 0, 0.02, 0.3]]}, 2),
     # an integer too large for a float
     (["gen-trajectory"], {"odom_noise": [10**400, 0, 0]}, 2),
+    # a negative seed is refused when the settings are built
+    (["detect-lines", "{img}", "--config"], {"vision": {"seed": -1}}, 2),
+    (["stereo", "{left}", "{right}"], {"params": {**PAIR_PARAMS, "seed": -1}}, 2),
+    # trajectory steps must be finite
+    (["localize"], {"steps": [{"odometry": [0, 0, 0], "observations": [
+        {"kind": "line", "distance": NAN, "direction": 0.3}]}]}, 2),
+    (["localize"], {"steps": [{"odometry": [0, 0, 0], "observations": [
+        {"kind": "corner", "position": [INF, 0.5], "orientation": 0.2}]}]}, 2),
+    (["localize"], {"steps": [{"odometry": [0, NAN, 0], "observations": []}]}, 2),
 ])
 def test_malformed_document_exit_code(tmp_path, stereo_pair, argv, doc, code):
     img = tmp_path / "img.ppm"
@@ -423,6 +433,15 @@ def test_localize_malformed_step_exit_code(tmp_path, step):
     traj = tmp_path / "traj.json"
     traj.write_text(json.dumps({"steps": [step]}))
     assert run_cli("localize", traj, "--particles", 50) == 2
+
+
+def test_localize_non_finite_odometry_message(tmp_path, capsys):
+    traj = tmp_path / "traj.json"
+    traj.write_text(json.dumps({"steps": [{"odometry": [0.1, 0, 0], "observations": []},
+                                          {"odometry": [0, INF, 0], "observations": []}]}))
+    assert run_cli("localize", traj, "--particles", 50) == 2
+    assert "step 1: odometry must be finite [dx, dy, dtheta], got [0.0, inf, 0.0]" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["localize", "gen-trajectory"])

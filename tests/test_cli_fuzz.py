@@ -44,7 +44,7 @@ COMMANDS = {
              ["--zero-heuristic", "--overlay"]),
     "detect-lines": (["detect-lines", "{img}", "--config", "{doc}"],
                      {"vision": {"nms_threshold": 5.0, "hough_votes": 3, "max_gap": 4.0,
-                                 "hough_rho": 1.0, "hough_theta": 0.05}},
+                                 "hough_rho": 1.0, "hough_theta": 0.05, "seed": 0}},
                      ["--line-width-px", "--decimation", "--min-length", "--overlay"]),
     "birdview": (["birdview", "{img}", "{doc}"], CAMERA, ["--bilinear"]),
     "distort": (["distort", "{img}", "{doc}"], CAMERA, ["--k1", "--k2", "--mask-fov"]),
@@ -58,7 +58,8 @@ COMMANDS = {
                  ["--particles"]),
     "stereo": (["stereo", "{img}", "{img}", "{doc}"],
                {**RIG, "params": {"window": 3, "max_disparity": 4, "step": 1,
-                                  "min_cluster_size": 1, "min_ground_inlier_ratio": 0.0},
+                                  "min_cluster_size": 1, "min_ground_inlier_ratio": 0.0,
+                                  "seed": 0},
                 "extrinsics": EXTRINSICS},
                ["--cloud"]),
     "pipeline-bench": (["pipeline-bench", "{doc}"],

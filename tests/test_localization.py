@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fieldkit.errors import Degenerate
+from fieldkit.errors import Degenerate, InputError
 from fieldkit.field_model import FieldPose, FieldSpec
 from fieldkit.localization import (
     CORNER,
@@ -11,6 +11,7 @@ from fieldkit.localization import (
     POINT,
     MonteCarloFilter,
     ParticleSet,
+    RobotObservation,
     SensorModel,
     corner_observation,
     estimate_dominant_pose,
@@ -120,6 +121,31 @@ def test_likelihood_direction_mod_pi(spec):
     exact = [o for o in expected_observations(pose, spec, 0.5) if o.kind == LINE][0]
     flipped = line_observation(-exact.distance, exact.direction + math.pi)
     assert observation_likelihood(flipped, pose, spec, sm) == pytest.approx(1.0)
+
+
+def test_from_dict_builds_the_canonical_observation(spec):
+    sm = SensorModel()
+    pose = FieldPose(0.0, 0.0, 0.0)
+    for exact in expected_observations(pose, spec, 1.0):
+        assert RobotObservation.from_dict(exact.to_dict()) == exact
+    exact = [o for o in expected_observations(pose, spec, 0.5) if o.kind == LINE][0]
+    wrapped = RobotObservation.from_dict({**exact.to_dict(),
+                                          "direction": exact.direction + 2 * math.pi})
+    assert wrapped.distance == exact.distance
+    assert wrapped.direction == pytest.approx(exact.direction, abs=1e-12)
+    assert observation_likelihood(wrapped, pose, spec, sm) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind=LINE, distance=math.nan, direction=0.3),
+    dict(kind=LINE, distance=0.5, direction=math.inf),
+    dict(kind=CORNER, position=(math.inf, 0.0), orientation=0.2),
+    dict(kind=CORNER, position=(1.0, 0.0), orientation=math.nan),
+    dict(kind=POINT, position=(0.0, -math.inf)),
+], ids=str)
+def test_observation_values_must_be_finite(fields):
+    with pytest.raises(InputError, match="must be finite"):
+        RobotObservation(**fields)
 
 
 def test_likelihood_decreases_with_residual(spec):

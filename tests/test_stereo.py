@@ -33,7 +33,7 @@ def textured_pair(shift, h=60, w=120, seed=0):
 
 def test_block_match_constant_shift():
     left, right = textured_pair(7)
-    disp = block_match(left, right, window=7, max_disparity=20)
+    disp = block_match(left, right, StereoParams(window=7, max_disparity=20))
     h, w = disp.shape
     interior = disp[10:h - 10, 35:w - 10]
     valid = interior[interior >= 0]
@@ -43,7 +43,7 @@ def test_block_match_constant_shift():
 
 def test_block_match_textureless_ties_to_zero():
     flat = Raster.from_gray(np.full((40, 60), 128, np.uint8))
-    disp = block_match(flat, flat, window=5, max_disparity=10)
+    disp = block_match(flat, flat, StereoParams(window=5, max_disparity=10))
     valid = disp[disp >= 0]
     assert np.all(valid == 0)
 
@@ -52,7 +52,7 @@ def test_block_match_noise_mostly_invalidated():
     rng = np.random.default_rng(3)
     left = Raster.from_gray(rng.integers(0, 256, (60, 80)).astype(np.uint8))
     right = Raster.from_gray(rng.integers(0, 256, (60, 80)).astype(np.uint8))
-    disp = block_match(left, right, window=5, max_disparity=24)
+    disp = block_match(left, right, StereoParams(window=5, max_disparity=24))
     h, w = disp.shape
     interior = disp[5:h - 5, 28:w - 5]
     assert (interior < 0).mean() >= 0.8
@@ -62,9 +62,35 @@ def test_block_match_dimension_mismatch():
     a = Raster.from_gray(np.zeros((10, 10), np.uint8))
     b = Raster.from_gray(np.zeros((10, 12), np.uint8))
     with pytest.raises(DimensionMismatch):
-        block_match(a, b, window=5, max_disparity=8)
-    with pytest.raises(InputError):
-        block_match(a, a, window=4, max_disparity=8)
+        block_match(a, b, StereoParams(window=5, max_disparity=8))
+
+
+# --- settings ----------------------------------------------------------------
+
+@pytest.mark.parametrize("cls, field, value", [
+    (StereoParams, "window", 4), (StereoParams, "window", 0), (StereoParams, "window", -1),
+    (StereoParams, "max_disparity", -1), (StereoParams, "step", 0),
+    (StereoParams, "ransac_iterations", 0), (StereoParams, "voxel", 0.0),
+    (StereoParams, "inlier_dist", -0.02), (StereoParams, "inlier_dist", math.inf),
+    (StereoParams, "protrusion", math.nan), (StereoParams, "link_dist", -math.inf),
+    (StereoParams, "min_ground_inlier_ratio", math.nan),
+    (StereoParams, "min_ground_inlier_ratio", -0.1),
+    (StereoParams, "min_ground_inlier_ratio", 1.5), (StereoParams, "seed", -1),
+    (StereoRig, "baseline", 0.0), (StereoRig, "baseline", math.nan),
+    (StereoRig, "focal", -700.0), (StereoRig, "focal", math.inf),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_settings_checked_when_built(cls, field, value):
+    with pytest.raises(InputError, match=f"{field} must be .*, got {value!r}"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window", 1), ("max_disparity", 0), ("step", 1), ("ransac_iterations", 1),
+    ("voxel", 1e-300), ("min_ground_inlier_ratio", 0.0), ("min_ground_inlier_ratio", 1.0),
+    ("seed", 0), ("min_points_per_voxel", -5), ("min_cluster_size", 0),
+], ids=str)
+def test_settings_at_their_bounds_are_valid(field, value):
+    assert getattr(StereoParams(**{field: value}), field) == value
 
 
 # --- reprojection ------------------------------------------------------------
@@ -73,7 +99,7 @@ def test_depth_formula():
     rig = StereoRig(baseline=0.062, focal=1000.0, cx=50.0, cy=40.0, width=101, height=81)
     disp = np.full((81, 101), -1, np.int32)
     disp[40, 50] = 62
-    pc = disparity_to_points(disp, rig, step=1)
+    pc = disparity_to_points(disp, rig, StereoParams(step=1))
     assert len(pc) == 1
     x, y, z = pc.points[0]
     assert z == pytest.approx(1.0)
@@ -84,7 +110,7 @@ def test_depth_disparity_product_exact():
     rig = StereoRig(baseline=0.062, focal=700.0, cx=30.0, cy=20.0, width=64, height=48)
     rng = np.random.default_rng(0)
     disp = rng.integers(1, 64, (48, 64)).astype(np.int32)
-    pc = disparity_to_points(disp, rig, step=1)
+    pc = disparity_to_points(disp, rig, StereoParams(step=1))
     d = disp.ravel().astype(float)
     z = pc.points[:, 2]
     np.testing.assert_allclose(z * d, rig.focal * rig.baseline, rtol=1e-15)
@@ -95,8 +121,8 @@ def test_doubling_disparity_halves_depth():
     for d in (2, 10, 30):
         one = np.full((21, 21), d, np.int32)
         two = np.full((21, 21), 2 * d, np.int32)
-        z1 = disparity_to_points(one, rig, step=1).points[:, 2]
-        z2 = disparity_to_points(two, rig, step=1).points[:, 2]
+        z1 = disparity_to_points(one, rig, StereoParams(step=1)).points[:, 2]
+        z2 = disparity_to_points(two, rig, StereoParams(step=1)).points[:, 2]
         np.testing.assert_allclose(z1, 2 * z2, rtol=1e-15)
 
 
@@ -104,21 +130,21 @@ def test_zero_and_invalid_disparity_skipped():
     rig = StereoRig()
     disp = np.zeros((8, 8), np.int32)
     disp[2, 2] = -1
-    assert len(disparity_to_points(disp, rig, step=1)) == 0
+    assert len(disparity_to_points(disp, rig, StereoParams(step=1))) == 0
 
 
 # --- voxel binning -----------------------------------------------------------
 
 def test_voxel_single_cluster_centroid():
     pts = np.array([[0.01, 0.01, 0.01], [0.02, 0.02, 0.02], [0.03, 0.01, 0.02]])
-    out = voxel_bin(PointCloud(pts), voxel=0.1, min_points_per_voxel=1)
+    out = voxel_bin(PointCloud(pts), StereoParams(voxel=0.1, min_points_per_voxel=1))
     assert len(out) == 1
     np.testing.assert_allclose(out.points[0], pts.mean(axis=0))
 
 
 def test_voxel_drops_sparse():
     pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [5.0, 5.0, 5.0]])
-    out = voxel_bin(PointCloud(pts), voxel=0.1, min_points_per_voxel=2)
+    out = voxel_bin(PointCloud(pts), StereoParams(voxel=0.1, min_points_per_voxel=2))
     assert len(out) == 1
 
 
@@ -126,7 +152,7 @@ def test_voxel_matches_brute_force_binning():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1, 1, (10_000, 3))
     voxel = 0.25
-    out = voxel_bin(PointCloud(pts), voxel, min_points_per_voxel=1)
+    out = voxel_bin(PointCloud(pts), StereoParams(voxel=voxel, min_points_per_voxel=1))
     keys = {tuple(k) for k in np.floor(pts / voxel).astype(int)}
     assert len(out) == len(keys)
 
@@ -134,7 +160,8 @@ def test_voxel_matches_brute_force_binning():
 def test_voxel_filter_monotone():
     rng = np.random.default_rng(8)
     pts = rng.normal(0, 0.5, (2000, 3))
-    sizes = [len(voxel_bin(PointCloud(pts), 0.1, m)) for m in (1, 2, 3, 5, 8)]
+    sizes = [len(voxel_bin(PointCloud(pts), StereoParams(voxel=0.1, min_points_per_voxel=m)))
+             for m in (1, 2, 3, 5, 8)]
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -144,7 +171,8 @@ def test_ransac_exact_plane():
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200),
                            np.zeros(200)])
-    plane = ransac_plane(PointCloud(pts), iterations=50, inlier_dist=0.01, seed=0)
+    params = StereoParams(ransac_iterations=50, inlier_dist=0.01, seed=0)
+    plane = ransac_plane(PointCloud(pts), params)
     np.testing.assert_allclose(plane.normal, (0, 0, 1), atol=1e-9)
     assert plane.offset == pytest.approx(0.0, abs=1e-9)
     assert plane.inlier_count == 200
@@ -152,7 +180,7 @@ def test_ransac_exact_plane():
 
 def test_ransac_three_points():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
-    plane = ransac_plane(PointCloud(pts), iterations=20, inlier_dist=0.01, seed=0)
+    plane = ransac_plane(PointCloud(pts), StereoParams(ransac_iterations=20, inlier_dist=0.01))
     n = np.asarray(plane.normal)
     for p in pts:
         assert abs(n @ p - plane.offset) < 1e-9
@@ -168,7 +196,7 @@ def test_ransac_noisy_plane_with_outliers():
         outliers = np.column_stack([rng.uniform(-1, 1, n_out), rng.uniform(-1, 1, n_out),
                                     rng.uniform(0.2, 0.5, n_out)])
         pc = PointCloud(np.vstack([inliers, outliers]))
-        plane = ransac_plane(pc, iterations=100, inlier_dist=0.02, seed=seed)
+        plane = ransac_plane(pc, StereoParams(ransac_iterations=100, inlier_dist=0.02, seed=seed))
         angle = math.degrees(math.acos(abs(np.asarray(plane.normal) @ np.array([0, 0, 1.0]))))
         errors.append(angle)
         assert plane.inlier_count >= 0.75 * len(pc)
@@ -180,9 +208,10 @@ def test_ransac_collinear_degenerate():
     t = np.linspace(0, 1, 30)
     pts = np.column_stack([t, 2 * t, 3 * t])
     with pytest.raises(DegenerateCloud):
-        ransac_plane(PointCloud(pts), iterations=50, inlier_dist=0.01, seed=0)
+        ransac_plane(PointCloud(pts), StereoParams(ransac_iterations=50, inlier_dist=0.01))
     with pytest.raises(DegenerateCloud):
-        ransac_plane(PointCloud(np.zeros((2, 3))), iterations=10, inlier_dist=0.01, seed=0)
+        ransac_plane(PointCloud(np.zeros((2, 3))),
+                     StereoParams(ransac_iterations=10, inlier_dist=0.01))
 
 
 # --- clustering --------------------------------------------------------------
@@ -208,8 +237,9 @@ def test_two_columns_two_clusters():
     a = column_points(-0.5, 1.5, 0.45, seed=2) + np.array([0, 0.3, 0])
     b = column_points(0.5, 1.5, 0.45, seed=3) + np.array([0, 0.3, 0])
     pc = PointCloud(np.vstack([ground, a, b]))
-    plane = ransac_plane(pc, iterations=100, inlier_dist=0.02, seed=0)
-    clusters = extract_clusters(pc, plane, protrusion=0.1, link_dist=0.15, min_size=10)
+    plane = ransac_plane(pc, StereoParams(ransac_iterations=100, inlier_dist=0.02, seed=0))
+    clusters = extract_clusters(
+        pc, plane, StereoParams(protrusion=0.1, link_dist=0.15, min_cluster_size=10))
     assert len(clusters) == 2
     got = sorted(c.centroid[0] for c in clusters)
     assert got[0] == pytest.approx(a[:, 0].mean(), abs=0.03)
@@ -221,25 +251,27 @@ def test_two_columns_two_clusters():
 
 def test_no_protruding_points_no_clusters():
     pc = PointCloud(ground_patch())
-    plane = ransac_plane(pc, iterations=80, inlier_dist=0.02, seed=0)
-    assert extract_clusters(pc, plane, 0.1, 0.15, 5) == []
+    plane = ransac_plane(pc, StereoParams(ransac_iterations=80, inlier_dist=0.02, seed=0))
+    params = StereoParams(protrusion=0.1, link_dist=0.15, min_cluster_size=5)
+    assert extract_clusters(pc, plane, params) == []
 
 
+# a bad setting is refused when StereoParams is built, before any stage runs;
+# a cell size that is valid but too small for the cloud is refused by the stage
 @pytest.mark.parametrize("stage", [
-    lambda pc, plane: voxel_bin(pc, math.nan, 1),
-    lambda pc, plane: voxel_bin(pc, math.inf, 1),
-    lambda pc, plane: voxel_bin(pc, 1e-300, 1),  # keys past int64
-    lambda pc, plane: ransac_plane(pc, 0, 0.02, seed=0),
-    lambda pc, plane: ransac_plane(pc, 10, math.nan, seed=0),
-    lambda pc, plane: extract_clusters(pc, plane, math.inf, 0.15, 5),
-    # link_dist is checked even when no point protrudes
-    lambda pc, plane: extract_clusters(pc, plane, 10.0, 0.0, 5),
-    lambda pc, plane: extract_clusters(pc, plane, 0.1, 1e-300, 5),
+    lambda pc, plane: StereoParams(voxel=math.nan),
+    lambda pc, plane: StereoParams(voxel=math.inf),
+    lambda pc, plane: voxel_bin(pc, StereoParams(voxel=1e-300)),  # keys past int64
+    lambda pc, plane: StereoParams(ransac_iterations=0),
+    lambda pc, plane: StereoParams(inlier_dist=math.nan),
+    lambda pc, plane: StereoParams(protrusion=math.inf),
+    lambda pc, plane: StereoParams(link_dist=0.0),
+    lambda pc, plane: extract_clusters(pc, plane, StereoParams(link_dist=1e-300)),
 ])
 def test_stage_values_must_be_positive_and_finite(stage):
     column = column_points(0.0, 1.0, 0.3, seed=4) + np.array([0, 0.3, 0])
     pc = PointCloud(np.vstack([ground_patch(), column]))
-    plane = ransac_plane(pc, iterations=80, inlier_dist=0.02, seed=0)
+    plane = ransac_plane(pc, StereoParams(ransac_iterations=80, inlier_dist=0.02, seed=0))
     with pytest.raises(InputError):
         stage(pc, plane)
 
@@ -250,9 +282,11 @@ def test_gap_splits_cluster_by_link_distance():
     high = low.copy()
     high[:, 1] -= 0.8  # same column, lifted far above: a gap along y
     pc = PointCloud(np.vstack([ground, low, high]))
-    plane = ransac_plane(pc, iterations=80, inlier_dist=0.02, seed=0)
-    joined = extract_clusters(pc, plane, 0.05, link_dist=0.9, min_size=10)
-    split = extract_clusters(pc, plane, 0.05, link_dist=0.3, min_size=10)
+    plane = ransac_plane(pc, StereoParams(ransac_iterations=80, inlier_dist=0.02, seed=0))
+    joined = extract_clusters(
+        pc, plane, StereoParams(protrusion=0.05, link_dist=0.9, min_cluster_size=10))
+    split = extract_clusters(
+        pc, plane, StereoParams(protrusion=0.05, link_dist=0.3, min_cluster_size=10))
     assert len(joined) == 1
     assert len(split) == 2
 
@@ -262,8 +296,9 @@ def test_clusters_sorted_by_camera_distance():
     near = column_points(0.0, 0.8, 0.4, seed=5) + np.array([0, 0.3, 0])
     far = column_points(0.3, 2.5, 0.4, seed=6) + np.array([0, 0.3, 0])
     pc = PointCloud(np.vstack([ground, near, far]))
-    plane = ransac_plane(pc, iterations=80, inlier_dist=0.02, seed=0)
-    clusters = extract_clusters(pc, plane, 0.1, 0.15, 10)
+    plane = ransac_plane(pc, StereoParams(ransac_iterations=80, inlier_dist=0.02, seed=0))
+    clusters = extract_clusters(
+        pc, plane, StereoParams(protrusion=0.1, link_dist=0.15, min_cluster_size=10))
     dists = [np.linalg.norm(c.centroid) for c in clusters]
     assert dists == sorted(dists)
 

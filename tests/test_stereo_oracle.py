@@ -190,7 +190,8 @@ def criterion_7_pair():
 
 def assert_same_disparity(left, right, window, max_disparity, uniqueness):
     with mock.patch.object(stereo_obstacles, "UNIQUENESS_MARGIN", uniqueness):
-        got = stereo_obstacles.block_match(left, right, window, max_disparity)
+        got = stereo_obstacles.block_match(left, right, StereoParams(window=window,
+                                                                  max_disparity=max_disparity))
     want = block_match(left, right, window, max_disparity, uniqueness)
     assert got.dtype == np.int32
     assert np.array_equal(got, want), (window, max_disparity, uniqueness)
@@ -223,7 +224,8 @@ def test_detect_obstacles_unchanged(criterion_7_pair, monkeypatch):
                           min_points_per_voxel=2, protrusion=0.08,
                           link_dist=0.1, min_cluster_size=8, seed=0)
     got = detect_obstacles(*criterion_7_pair, FULL_RIG, params)
-    monkeypatch.setattr(stereo_obstacles, "block_match", block_match)
+    monkeypatch.setattr(stereo_obstacles, "block_match",
+                        lambda left, right, p: block_match(left, right, p.window, p.max_disparity))
     want = detect_obstacles(*criterion_7_pair, FULL_RIG, params)
     assert len(want[1]) == 2
     assert got == want
@@ -231,16 +233,17 @@ def test_detect_obstacles_unchanged(criterion_7_pair, monkeypatch):
 
 def test_volume_follows_the_image_not_max_disparity():
     left, right = _random_pair(6, 8, 8)
-    disp = stereo_obstacles.block_match(left, right, 3, 10**9)
+    disp = stereo_obstacles.block_match(left, right, StereoParams(window=3, max_disparity=10**9))
     assert np.array_equal(disp, block_match(left, right, 3, 7))
 
 
 def test_block_match_memory_is_bounded(criterion_7_pair):
     # the 65-layer int64 cost volume alone was 40 MB on this 320x240 pair
-    stereo_obstacles.block_match(*criterion_7_pair, 9, 64)
+    params = StereoParams(window=9, max_disparity=64)
+    stereo_obstacles.block_match(*criterion_7_pair, params)
     tracemalloc.start()
     try:
-        stereo_obstacles.block_match(*criterion_7_pair, 9, 64)
+        stereo_obstacles.block_match(*criterion_7_pair, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,7 +316,8 @@ def test_block_match_property(case):
 
 def assert_same_voxels(points, voxel, min_points_per_voxel):
     pc = PointCloud(points)
-    got = stereo_obstacles.voxel_bin(pc, voxel, min_points_per_voxel).points
+    params = StereoParams(voxel=voxel, min_points_per_voxel=min_points_per_voxel)
+    got = stereo_obstacles.voxel_bin(pc, params).points
     want = voxel_bin(pc, voxel, min_points_per_voxel).points
     assert got.shape == want.shape and np.array_equal(got, want), (voxel, min_points_per_voxel)
 
@@ -322,7 +326,7 @@ def assert_same_voxels(points, voxel, min_points_per_voxel):
 def test_voxel_bin_matches_oracle_on_rendered_clouds(pair):
     disparity = block_match(*PAIRS[pair](), 9, 64, 0.15)
     for step in (1, 2):
-        points = disparity_to_points(disparity, SMALL_RIG, step).points
+        points = disparity_to_points(disparity, SMALL_RIG, StereoParams(step=step)).points
         assert len(points) > 10
         for voxel in (0.01, 0.03, 0.05):
             for m in (1, 2, 3):
@@ -330,8 +334,9 @@ def test_voxel_bin_matches_oracle_on_rendered_clouds(pair):
 
 
 def test_voxel_bin_matches_oracle_on_the_full_rig(criterion_7_pair):
-    disparity = stereo_obstacles.block_match(*criterion_7_pair, 9, 64)
-    points = disparity_to_points(disparity, FULL_RIG, 2).points
+    params = StereoParams(window=9, max_disparity=64, step=2)
+    disparity = stereo_obstacles.block_match(*criterion_7_pair, params)
+    points = disparity_to_points(disparity, FULL_RIG, params).points
     for m in (1, 2, 3):
         assert_same_voxels(points, 0.03, m)
 

@@ -6,7 +6,7 @@ import pytest
 from fieldkit.birdview import BirdviewSpec, CameraExtrinsics, CameraIntrinsics, project, unproject_to_ground
 from fieldkit.field_model import FieldPose, FieldSpec
 from fieldkit.localization import RobotObservation, SensorModel, expected_observations
-from fieldkit.stereo_obstacles import StereoRig, block_match
+from fieldkit.stereo_obstacles import StereoParams, StereoRig, block_match
 from fieldkit.synth import (
     Obstacle,
     Scene,
@@ -117,7 +117,7 @@ def test_stereo_ground_disparity_matches_depth_formula():
                     width=320, height=240)
     ex = CameraExtrinsics(position=(-0.4, 0.0, 0.35), rpy=(0.0, 0.35, 0.0))
     left, right = render_stereo(Scene(), rig, ex)
-    disp = block_match(left, right, 9, 64)
+    disp = block_match(left, right, StereoParams(window=9, max_disparity=64))
     intr = CameraIntrinsics(fx=rig.focal, fy=rig.focal, cx=rig.cx, cy=rig.cy,
                             width=rig.width, height=rig.height)
     r_cw = ex.rotation_world_from_camera().T
