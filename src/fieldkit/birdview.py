@@ -12,7 +12,9 @@ pixel index per output pixel, a pure function of the extrinsics, the
 intrinsics, the birdview spec and the source shape. A least-recently-used
 cache keeps the last INDEX_CACHE_SIZE maps (read-only int32, 4 bytes per
 output pixel), so a camera fixed on the body pays the projection once and
-then one gather per channel each frame; a moving head pays it every frame.
+then one gather per channel each frame. A miss projects only the pixels of
+each birdview row whose ground points can land in the source image, so its
+cost scales with the camera's ground footprint, not with the output size.
 """
 
 from __future__ import annotations
@@ -276,16 +278,95 @@ def _sample_bilinear(channel: np.ndarray, u, v, valid):
     return out
 
 
-def _birdview_projection(ex: CameraExtrinsics, intr: CameraIntrinsics, spec: BirdviewSpec):
-    """Project the field point under every birdview pixel center, row-major:
-    (u, v, valid) as from _project_arrays."""
-    fx, fy = spec.pixel_to_field(np.arange(spec.out_width)[None, :],
-                                 np.arange(spec.out_height)[:, None])
+def _ray_slopes(intr: CameraIntrinsics, src_shape: tuple[int, int]) -> tuple[float, float]:
+    """Half-slopes (X, Y) of the pyramid |x| <= X z, |y| <= Y z in camera
+    coordinates that holds every ray whose projection rounds into a source
+    image of src_shape; infinite when some ray far outside it could fold back in.
+
+    The image's half-pixel edges bound the distorted coordinates; the
+    undistorted ones are larger by at most 1 / min f(r) over the radii up to
+    the corner's, where f(r) = 1 + k1 r^2 + k2 r^4. That bound holds only
+    while r f(r) keeps increasing for every r, the test below.
+    """
+    h, w = src_shape
+    xd = (max(intr.cx, w - 1.0 - intr.cx) + 0.5) / intr.fx
+    yd = (max(intr.cy, h - 1.0 - intr.cy) + 0.5) / intr.fy
+    k1, k2 = intr.k1, intr.k2
+    # (r f(r))' = 1 + 3 k1 r^2 + 5 k2 r^4 must stay positive for every r
+    if k2 < 0.0 or (k1 < 0.0 and 9.0 * k1 * k1 >= 20.0 * k2):
+        return math.inf, math.inf
+
+    def f(s):
+        return 1.0 + k1 * s + k2 * s * s
+
+    # an undistorted radius at or past the corner's, by bisection on r f(r)
+    rd = math.hypot(xd, yd)
+    lo, hi = 0.0, rd
+    while hi * f(hi * hi) < rd:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * f(mid * mid) < rd else (lo, mid)
+    s_max = hi * hi
+    # f is quadratic in s = r^2: its least value on [0, s_max] is at an end or the vertex
+    vertex = min(max(-k1 / (2.0 * k2), 0.0), s_max) if k2 > 0.0 else 0.0
+    # with a relative slack for rounding, far below a pixel
+    scale = (1.0 + 1e-6) / min(1.0, f(s_max), f(vertex))
+    return xd * scale, yd * scale
+
+
+def _footprint_spans(ex: CameraExtrinsics, intr: CameraIntrinsics, spec: BirdviewSpec,
+                     src_shape: tuple[int, int]):
+    """Per birdview row, the first column and the column count of the span
+    whose ground points can round into a source image of src_shape.
+
+    Along a row, camera coordinates are affine in the column, cam = a + c b,
+    so each face of _ray_slopes' pyramid bounds c on one side. Each span is
+    widened by one pixel; where the pyramid is unbounded, spans are whole rows.
+    """
+    height, width = spec.out_height, spec.out_width
+    slope_x, slope_y = _ray_slopes(intr, src_shape)
+    if math.isinf(slope_x):
+        return np.zeros(height, np.int64), np.full(height, width, np.int64)
+    r_cw = ex.rotation_world_from_camera().T
+    gx, gy = spec.pixel_to_field(0.0, np.arange(height))
+    a = np.column_stack([gx - ex.position[0], gy - ex.position[1],
+                         np.full(height, -ex.position[2])]) @ r_cw.T
+    m = spec.meters_per_pixel
+    b = r_cw @ np.array([m * math.cos(spec.view_yaw), m * math.sin(spec.view_yaw), 0.0])
+    lo = np.full(height, -math.inf)
+    hi = np.full(height, math.inf)
+    for axis, slope in ((0, slope_x), (1, slope_y)):
+        for sign in (1.0, -1.0):
+            # sign * cam[axis] - slope * cam[2] <= 0
+            ak = sign * a[:, axis] - slope * a[:, 2]
+            bk = sign * b[axis] - slope * b[2]
+            if bk > 0.0:
+                hi = np.minimum(hi, -ak / bk)
+            elif bk < 0.0:
+                lo = np.maximum(lo, -ak / bk)
+            else:
+                hi = np.where(ak <= 0.0, hi, -math.inf)
+    first = np.clip(np.ceil(lo) - 1.0, 0, width)
+    last = np.clip(np.floor(hi) + 1.0, -1, width - 1)
+    return first.astype(np.int64), np.maximum(last - first + 1.0, 0).astype(np.int64)
+
+
+def _birdview_projection(ex: CameraExtrinsics, intr: CameraIntrinsics, spec: BirdviewSpec,
+                         src_shape: tuple[int, int]):
+    """Project the field point under each birdview pixel center that can
+    land in a source image of src_shape: returns (pixels, (u, v, valid)),
+    with pixels the flat row-major birdview indices and the rest as from
+    _project_arrays. Every other pixel sees nothing of the source."""
+    first, count = _footprint_spans(ex, intr, spec, src_shape)
+    rows = np.repeat(np.arange(spec.out_height), count)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(count) - count - first, count)
+    fx, fy = spec.pixel_to_field(cols, rows)
     pts = np.empty((fx.size, 3))
-    pts[:, 0] = fx.ravel()
-    pts[:, 1] = fy.ravel()
+    pts[:, 0] = fx
+    pts[:, 1] = fy
     pts[:, 2] = 0.0
-    return _project_arrays(pts, ex, intr)
+    return rows * spec.out_width + cols, _project_arrays(pts, ex, intr)
 
 
 @functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
@@ -297,8 +378,10 @@ def _nearest_index_map(ex: CameraExtrinsics, intr: CameraIntrinsics, spec: Birdv
     A pure function of the geometry and the source shape, so it is cached:
     every caller shares the one array, which is why it is not writeable.
     """
-    u, v, valid = _birdview_projection(ex, intr, spec)
-    index = _nearest_index(u, v, valid, src_shape).reshape(spec.out_height, spec.out_width)
+    pixels, (u, v, valid) = _birdview_projection(ex, intr, spec, src_shape)
+    index = np.full(spec.out_height * spec.out_width, src_shape[0] * src_shape[1], np.int32)
+    index[pixels] = _nearest_index(u, v, valid, src_shape)
+    index = index.reshape(spec.out_height, spec.out_width)
     index.flags.writeable = False
     return index
 
@@ -309,15 +392,20 @@ def birdview_transform(r: Raster, ex: CameraExtrinsics, intr: CameraIntrinsics,
 
     Each output pixel is a known field point; it is filled by projecting that
     point into the source image, so no intermediate rectified image is ever
-    materialized and the work scales with the (small) output size. Nearest
-    sampling reads through the cached index map of this geometry.
+    materialized. Only the points inside the camera's ground footprint are
+    projected, so the work scales with that footprint, not with the output
+    size. Nearest sampling reads through the cached index map of this geometry.
     """
     if not bilinear:
         return _gather_nearest(r, _nearest_index_map(ex, intr, spec, r.luma.shape))
-    u, v, valid = _birdview_projection(ex, intr, spec)
-    shape = (spec.out_height, spec.out_width)
-    return Raster(_sample_bilinear(r.luma, u, v, valid).reshape(shape),
-                  _sample_bilinear(r.green, u, v, valid).reshape(shape))
+    pixels, (u, v, valid) = _birdview_projection(ex, intr, spec, r.luma.shape)
+
+    def sample(channel):
+        out = np.zeros(spec.out_height * spec.out_width, channel.dtype)
+        out[pixels] = _sample_bilinear(channel, u, v, valid)
+        return out.reshape(spec.out_height, spec.out_width)
+
+    return Raster(sample(r.luma), sample(r.green))
 
 
 def emulate_wide_angle(r: Raster, intr: CameraIntrinsics, k1: float, k2: float) -> Raster:

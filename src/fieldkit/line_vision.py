@@ -8,6 +8,10 @@ direction keeps line-center candidates; a seeded progressive probabilistic
 Hough transform turns the candidates into segments; near-collinear segments
 are merged; pairs of merged lines meeting near 90 degrees become corner
 observations (1 for an L junction, 2 for a T, 4 for an X).
+
+The passes and NMS run only on the bounding box of the nonzero pixels,
+padded so that every site outside it would score 0: a birdview is black
+wherever the camera does not see the ground, and those sites cost nothing.
 """
 
 from __future__ import annotations
@@ -129,9 +133,17 @@ def rect_sum(table: np.ndarray, y0, y1, x0, x1):
 
 
 def _width_map_as_array(width_map, height: int) -> np.ndarray:
-    wm = np.broadcast_to(np.asarray(width_map, dtype=float), (height,))
-    wm = np.maximum(np.rint(wm), 1).astype(np.int64)
-    return wm
+    """The expected line width of each of `height` rows, rounded to whole
+    pixels and at least 1; width_map is one width or one per row."""
+    try:
+        wm = np.broadcast_to(np.asarray(width_map, dtype=float), (height,))
+    except (TypeError, ValueError) as exc:
+        raise InputError(
+            f"width_map must be one width or one per row ({height}): {exc}") from exc
+    # NaN fails the comparison; the bound keeps the cast to int64 from overflowing
+    if not (np.abs(wm) < 2.0**31).all():
+        raise InputError("width_map must be finite and under 2**31 pixels")
+    return np.maximum(np.rint(wm), 1).astype(np.int64)
 
 
 def line_response_pass(tables, direction: str, width_map, cfg: VisionConfig) -> np.ndarray:
@@ -379,19 +391,46 @@ def _arms(seg: LineSegment, x, extend_tol: float, end_slack: float):
     return arms
 
 
+def _crop_box(r: Raster, widths: np.ndarray, cfg: VisionConfig):
+    """(y0, y1, x0, x1): the bounding box of the raster's nonzero pixels,
+    padded, with its origin on the decimated site grid.
+
+    A window's pixels lie within 2 lw of its site. With a pad of twice that,
+    a window that crosses the crop's edge covers only zero pixels, so it
+    scores 0 on the crop and on the whole raster alike; (nms_radius + 1)
+    sites more keep NMS's neighbours of scoring sites inside the crop. An
+    all-zero raster gives an empty box.
+    """
+    nonzero = (r.luma | r.green) != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if len(rows) == 0:
+        return 0, 0, 0, 0
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    d = cfg.decimation
+    pad = 2 * (2 * int(widths.max())) + (cfg.nms_radius + 1) * d
+    y0 = max(rows[0] - pad, 0) // d * d
+    x0 = max(cols[0] - pad, 0) // d * d
+    return y0, min(rows[-1] + 1 + pad, r.height), x0, min(cols[-1] + 1 + pad, r.width)
+
+
 def detect_lines(r: Raster, width_map, cfg: VisionConfig = VisionConfig()):
     """Full pipeline: both passes, NMS, Hough, merge, corners.
 
     Returns (lines, corners); each physical line appears once in the line
     list and additionally contributes corner observations where it crosses
-    another near 90 degrees.
+    another near 90 degrees. The passes and NMS run on _crop_box's crop,
+    whose origin is added back to the candidates, so the Hough transform
+    sees the same points, in the same order, as on the whole raster.
     """
     rng = np.random.default_rng(cfg.seed)
-    tables = (integral_image(r.luma), integral_image(r.green))
+    widths = _width_map_as_array(width_map, r.height)
+    y0, y1, x0, x1 = _crop_box(r, widths, cfg)
+    tables = (integral_image(r.luma[y0:y1, x0:x1]), integral_image(r.green[y0:y1, x0:x1]))
+    origin = np.array([x0, y0], dtype=float)
     segments: list[LineSegment] = []
     for direction in (HORIZONTAL, VERTICAL):
-        values = line_response_pass(tables, direction, width_map, cfg)
-        segments.extend(hough_segments(nms(values, direction, cfg), cfg, rng))
+        values = line_response_pass(tables, direction, widths[y0:y1], cfg)
+        segments.extend(hough_segments(nms(values, direction, cfg) + origin, cfg, rng))
     lines = merge_segments(segments, cfg.merge_angle_tol, cfg.merge_dist_tol)
     lines = [s for s in lines if s.length >= cfg.min_length]
     corners = detect_corners(lines, cfg.corner_angle_tol, cfg.corner_extend_tol,

@@ -90,6 +90,8 @@ class RobotObservation:
 def line_observation(distance: float, direction: float) -> RobotObservation:
     """Canonical line observation: direction folded into [0, pi), distance
     sign fixed by the normal (-sin d, cos d)."""
+    if not math.isfinite(direction):
+        raise InputError(f"line direction must be finite, got {direction}")
     d = direction % math.pi
     if d >= math.pi:  # fp edge: direction a hair under a multiple of pi
         d -= math.pi

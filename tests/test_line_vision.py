@@ -343,6 +343,15 @@ def test_detect_lines_blank_image():
     assert lines == [] and corners == []
 
 
+@pytest.mark.parametrize("width_map", [
+    math.nan, -math.inf, 1e300, [5.0] * 39 + [math.nan], np.array([4.0, 5.0, 6.0]),
+    np.ones((40, 2)), "wide",
+], ids=["nan", "-inf", "huge", "nan-row", "three-rows", "two-columns", "text"])
+def test_detect_lines_rejects_bad_width_map(width_map):
+    with pytest.raises(InputError, match="width_map"):
+        detect_lines(stripe_raster(48, h=40), width_map, VisionConfig(decimation=2))
+
+
 def test_detect_lines_builds_each_integral_image_once(monkeypatch):
     calls = []
 

@@ -148,6 +148,12 @@ def test_observation_values_must_be_finite(fields):
         RobotObservation(**fields)
 
 
+@pytest.mark.parametrize("direction", [math.nan, math.inf, -math.inf])
+def test_line_observation_rejects_non_finite_direction(direction):
+    with pytest.raises(InputError, match="line direction must be finite"):
+        line_observation(0.5, direction)
+
+
 def test_likelihood_decreases_with_residual(spec):
     sm = SensorModel()
     pose = FieldPose(0.0, 0.0, 0.0)
