@@ -162,8 +162,24 @@ class BirdviewSpec:
         return col, row
 
 
+def _fold_radius_sq(intr: CameraIntrinsics) -> float:
+    """Squared undistorted radius s where r f(r) stops increasing, inf for a
+    lens where it never does.
+
+    (r f(r))' = 1 + 3 k1 s + 5 k2 s^2 first reaches 0 at its least positive
+    root, 2 / (sqrt(9 k1^2 - 20 k2) - 3 k1); there is one when k2 < 0, or
+    when k1 < 0 and the discriminant is positive.
+    """
+    k1, k2 = intr.k1, intr.k2
+    disc = 9.0 * k1 * k1 - 20.0 * k2
+    if k2 < 0.0 or (k1 < 0.0 and disc > 0.0):
+        return 2.0 / (math.sqrt(disc) - 3.0 * k1)
+    return math.inf
+
+
 def _project_arrays(pts: np.ndarray, ex: CameraExtrinsics, intr: CameraIntrinsics):
-    """Project (N, 3) field points; returns (u, v, valid) with valid=False behind camera."""
+    """Project (N, 3) field points; returns (u, v, valid) with valid=False
+    behind the camera or, on a lens whose r f(r) folds back, past the fold."""
     r_cw = ex.rotation_world_from_camera().T
     cam = (pts - np.asarray(ex.position)) @ r_cw.T
     valid = cam[:, 2] > 1e-12
@@ -171,6 +187,10 @@ def _project_arrays(pts: np.ndarray, ex: CameraExtrinsics, intr: CameraIntrinsic
     xn = cam[:, 0] / z
     yn = cam[:, 1] / z
     r2 = xn * xn + yn * yn
+    s_fold = _fold_radius_sq(intr)
+    if s_fold < math.inf:
+        # past the fold, rays far outside the image would land back in it
+        valid &= r2 < s_fold
     f = 1.0 + intr.k1 * r2 + intr.k2 * r2 * r2
     u = intr.fx * (xn * f) + intr.cx
     v = intr.fy * (yn * f) + intr.cy
@@ -180,12 +200,13 @@ def _project_arrays(pts: np.ndarray, ex: CameraExtrinsics, intr: CameraIntrinsic
 def project(p, ex: CameraExtrinsics, intr: CameraIntrinsics) -> tuple[float, float]:
     """Project one 3D field point to pixel coordinates.
 
-    Raises BehindCamera when the point is not in front of the image plane.
+    Raises BehindCamera when the point is not in front of the image plane,
+    or lies past the fold of a lens whose r f(r) turns back.
     """
     pts = np.asarray(p, dtype=float).reshape(1, 3)
     u, v, valid = _project_arrays(pts, ex, intr)
     if not valid[0]:
-        raise BehindCamera(f"point {tuple(p)} behind camera")
+        raise BehindCamera(f"point {tuple(p)} behind camera or past the lens fold")
     return (float(u[0]), float(v[0]))
 
 
@@ -281,33 +302,40 @@ def _sample_bilinear(channel: np.ndarray, u, v, valid):
 def _ray_slopes(intr: CameraIntrinsics, src_shape: tuple[int, int]) -> tuple[float, float]:
     """Half-slopes (X, Y) of the pyramid |x| <= X z, |y| <= Y z in camera
     coordinates that holds every ray whose projection rounds into a source
-    image of src_shape; infinite when some ray far outside it could fold back in.
+    image of src_shape.
 
     The image's half-pixel edges bound the distorted coordinates; the
     undistorted ones are larger by at most 1 / min f(r) over the radii up to
-    the corner's, where f(r) = 1 + k1 r^2 + k2 r^4. That bound holds only
-    while r f(r) keeps increasing for every r, the test below.
+    the corner's, where f(r) = 1 + k1 r^2 + k2 r^4. That bound holds because
+    r f(r) increases up to the fold radius and _project_arrays rejects the
+    rays past it.
     """
     h, w = src_shape
     xd = (max(intr.cx, w - 1.0 - intr.cx) + 0.5) / intr.fx
     yd = (max(intr.cy, h - 1.0 - intr.cy) + 0.5) / intr.fy
     k1, k2 = intr.k1, intr.k2
-    # (r f(r))' = 1 + 3 k1 r^2 + 5 k2 r^4 must stay positive for every r
-    if k2 < 0.0 or (k1 < 0.0 and 9.0 * k1 * k1 >= 20.0 * k2):
-        return math.inf, math.inf
 
     def f(s):
         return 1.0 + k1 * s + k2 * s * s
 
-    # an undistorted radius at or past the corner's, by bisection on r f(r)
+    def distorted(r):
+        return r * f(r * r)
+
+    # an undistorted radius at or past the corner's, by bisection on r f(r),
+    # or the fold radius when r f(r) never reaches the corner's
     rd = math.hypot(xd, yd)
-    lo, hi = 0.0, rd
-    while hi * f(hi * hi) < rd:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid * f(mid * mid) < rd else (lo, mid)
-    s_max = hi * hi
+    s_fold = _fold_radius_sq(intr)
+    r_fold = math.sqrt(s_fold)
+    if s_fold < math.inf and distorted(r_fold) <= rd:
+        s_max = s_fold
+    else:
+        lo, hi = 0.0, min(rd, r_fold)
+        while distorted(hi) < rd:
+            lo, hi = hi, min(2.0 * hi, r_fold)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if distorted(mid) < rd else (lo, mid)
+        s_max = hi * hi
     # f is quadratic in s = r^2: its least value on [0, s_max] is at an end or the vertex
     vertex = min(max(-k1 / (2.0 * k2), 0.0), s_max) if k2 > 0.0 else 0.0
     # with a relative slack for rounding, far below a pixel
@@ -322,12 +350,10 @@ def _footprint_spans(ex: CameraExtrinsics, intr: CameraIntrinsics, spec: Birdvie
 
     Along a row, camera coordinates are affine in the column, cam = a + c b,
     so each face of _ray_slopes' pyramid bounds c on one side. Each span is
-    widened by one pixel; where the pyramid is unbounded, spans are whole rows.
+    widened by one pixel.
     """
     height, width = spec.out_height, spec.out_width
     slope_x, slope_y = _ray_slopes(intr, src_shape)
-    if math.isinf(slope_x):
-        return np.zeros(height, np.int64), np.full(height, width, np.int64)
     r_cw = ex.rotation_world_from_camera().T
     gx, gy = spec.pixel_to_field(0.0, np.arange(height))
     a = np.column_stack([gx - ex.position[0], gy - ex.position[1],

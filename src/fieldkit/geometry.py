@@ -22,10 +22,24 @@ def normalize_angle(theta: float) -> float:
 
 
 def normalize_angles(theta: np.ndarray) -> np.ndarray:
-    """Vectorized wrap into (-pi, pi]."""
-    t = np.mod(np.asarray(theta, dtype=float) + math.pi, TWO_PI) - math.pi
+    """Vectorized wrap into (-pi, pi], always as a float array (0-d for a scalar).
+
+    When every |theta| < 3 pi, t = theta + pi lies in (-2 pi, 4 pi) and one
+    shift by 2 pi, in place, gives what np.mod(t, 2 pi) gives: fmod is exact
+    there, and t - 2 pi is exact by Sterbenz's lemma. Other inputs, NaN and
+    infinities among them, take np.mod.
+    """
+    x = np.asarray(theta, dtype=float)
+    if x.size and -3.0 * math.pi < x.min() and x.max() < 3.0 * math.pi:
+        t = np.add(x, math.pi, out=np.empty_like(x))
+        np.subtract(t, TWO_PI, out=t, where=t >= TWO_PI)
+        np.add(t, TWO_PI, out=t, where=t < 0.0)
+        t -= math.pi
+    else:
+        t = np.asarray(np.mod(x + math.pi, TWO_PI) - math.pi)
     # np.mod puts exact -pi at the low end; the convention is (-pi, pi]
-    return np.where(t == -math.pi, math.pi, t)
+    np.copyto(t, math.pi, where=t == -math.pi)
+    return t
 
 
 def axial_diff(a: float, b: float) -> float:

@@ -1,14 +1,22 @@
-"""Time the birdview miss, the birdview hit and detect_lines, each alone, on
-the benchmark's seeded frames, and print their medians.
+"""Time the vision stages and the localization steps, each alone, on the
+benchmark's seeded frames, and print their medians.
 
     PYTHONPATH=src python3 tests/stage_times.py [--repeats N]
 
 For seeds 1 and 2 it builds the inputs of perfbench's head_scan and
 match_frames workloads through perfbench/workloads.py (imported, not
-changed), renders their camera frames, and times each frame's stages as the
-frame loop calls them: a birdview with an empty index cache (a miss), the
-same birdview again (a hit), then detect_lines on it. Each frame is timed
-N times (default 5); a line gives the median over all frames and repeats.
+changed) and times each frame's stages as the frame loop calls them.
+
+Vision: it renders the camera frames and times a birdview with an empty
+index cache (a miss), the same birdview again (a hit), then detect_lines on
+it. Localization: it runs the workload's filter (same particle count, seed,
+odometry, noise and observations) over two cycles of the frame pool and
+times predict, update_and_resample and estimate_dominant_pose on each frame.
+The filter's random state is restored before each repeat, so every repeat
+times the same call and the filter follows the benchmark's trajectory.
+Each frame is timed N times (default 5); a line gives the median over all
+frames and repeats, and the last line per workload the median number of
+distinct poses the mode saw.
 
 BLAS is pinned to one thread before numpy loads, as perfbench/run.py pins
 it: the birdview projects its points with an (N, 3) @ (3, 3) product, which
@@ -33,8 +41,9 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from fieldkit import birdview, line_vision  # noqa: E402
+from fieldkit import birdview, errors, field_model, line_vision, localization  # noqa: E402
 
 
 def _timed(fn, *args):
@@ -67,15 +76,63 @@ def stage_times(name: str, seed: int, repeats: int) -> dict:
     return times
 
 
+def mcl_times(name: str, seed: int, repeats: int) -> tuple[dict, list]:
+    """Every sample, in ms, of each filter step on one workload's frames,
+    and the number of distinct poses in each set the mode saw."""
+    wl = workloads.build(name)
+    inputs, _ = wl.make_inputs(seed)
+    spec = field_model.load_default_field()
+    sensor = localization.SensorModel()
+
+    def new_filter():
+        return localization.MonteCarloFilter(spec, wl.n_particles, sensor,
+                                             seed=inputs["mcl_seed"])
+
+    def repeated(fn, *args):
+        """fn(*args) timed `repeats` times from the same random state."""
+        state = mcl.rng.bit_generator.state
+        samples = []
+        for _ in range(repeats):
+            mcl.rng.bit_generator.state = state
+            out, ms = _timed(fn, *args)
+            samples.append(ms)
+        return out, samples
+
+    mcl = new_filter()
+    times = {"predict": [], "update_and_resample": [], "estimate_dominant_pose": []}
+    distinct = []
+    for k in range(2 * wl.pool):
+        frame = inputs["frames"][k % wl.pool]
+        particles, ms = repeated(localization.predict, mcl.particles, frame["odometry"],
+                                 workloads.PREDICT_NOISE, mcl.rng)
+        times["predict"] += ms
+        try:
+            particles, ms = repeated(localization.update_and_resample, particles,
+                                     frame["observations"], spec, sensor, mcl.rng)
+        except errors.Degenerate:
+            mcl = new_filter()  # the frame loop restarts the filter the same way
+            continue
+        times["update_and_resample"] += ms
+        mcl.particles = particles
+        _, ms = repeated(localization.estimate_dominant_pose, particles)
+        times["estimate_dominant_pose"] += ms
+        distinct.append(len(np.unique(particles.poses, axis=0)))
+    return times, distinct
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
     for name in ("head_scan", "match_frames"):
         for seed in (1, 2):
-            for stage, samples in stage_times(name, seed, args.repeats).items():
+            times, distinct = mcl_times(name, seed, args.repeats)
+            times.update(stage_times(name, seed, args.repeats))
+            for stage, samples in times.items():
                 print(f"{name} seed {seed} {stage}: {statistics.median(samples):.2f} ms "
                       f"median of {len(samples)}")
+            print(f"{name} seed {seed} distinct poses per set: {statistics.median(distinct)} "
+                  f"median of {len(distinct)}")
     return 0
 
 

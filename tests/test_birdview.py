@@ -59,6 +59,16 @@ def test_behind_camera_raises():
         project((-1.0, 0.0, 0.5), ex, intr)
 
 
+def test_point_past_the_lens_fold_raises():
+    # r f(r) = r - 0.2 r^3 peaks at r^2 = 5/3 (52 degrees off the axis)
+    intr = make_intr(k1=-0.2)
+    ex = CameraExtrinsics(position=(0.0, 0.0, 0.5), rpy=(0.0, 0.0, 0.0))
+    u, _ = project((1.0, -1.25, 0.5), ex, intr)         # r^2 = 1.5625
+    assert u > intr.cx
+    with pytest.raises(BehindCamera):
+        project((1.0, -1.3, 0.5), ex, intr)            # r^2 = 1.69
+
+
 # --- unprojection ------------------------------------------------------------
 
 def test_straight_down_center_pixel_hits_nadir():

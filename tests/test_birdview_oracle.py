@@ -289,19 +289,58 @@ def test_spans_stay_close_to_the_footprint():
     assert max(ratios) <= 1.6
 
 
+# the head camera with k1 = -0.2, k2 = 0: r f(r) = r - 0.2 r^3 peaks at
+# r^2 = 5/3, past the image corner, and then falls back through 0, so ground
+# rays far outside the image would land in it as a ghost ring
+FOLDING = CameraIntrinsics(fx=260.0, fy=260.0, cx=159.5, cy=119.5, width=320, height=240,
+                           k1=-0.2)
+
+
 @pytest.mark.parametrize("pitch", [0.75, 1.3])
-def test_folding_lens_projects_whole_rows(pitch):
-    # r f(r) for k1 = -0.2, k2 = 0 peaks past the image corner and then falls
-    # back through 0, so rays far outside the image land in it
-    intr = CameraIntrinsics(fx=260.0, fy=260.0, cx=159.5, cy=119.5, width=320, height=240,
-                            k1=-0.2)
+def test_folding_lens_drops_rays_past_the_fold(pitch):
     ex = CameraExtrinsics(position=(0.0, 0.0, HEIGHT), rpy=(0.0, pitch, 0.0))
     spec = BirdviewSpec(out_width=320, out_height=240, meters_per_pixel=0.02)
-    first, count = _footprint_spans(ex, intr, spec, (240, 320))
-    assert (first == 0).all() and (count == spec.out_width).all()
+    rows, cols = np.mgrid[0:spec.out_height, 0:spec.out_width]
+    fx, fy = spec.pixel_to_field(cols.ravel(), rows.ravel())
+    pts = np.column_stack([fx, fy, np.zeros(fx.size)])
+    u, v, valid = _project_arrays(pts, ex, FOLDING)
+    cam = (pts - np.asarray(ex.position)) @ ex.rotation_world_from_camera()
+    r2 = (cam[:, 0] ** 2 + cam[:, 1] ** 2) / np.where(valid, cam[:, 2], 1.0) ** 2
+    past = r2 >= 5.0 / 3.0
+    ur, vr = np.rint(u), np.rint(v)
+    ghost = past & valid & (ur >= 0) & (ur < 320) & (vr >= 0) & (vr < 240)
+    assert ghost.any()
+    assert np.array_equal(birdview._project_arrays(pts, ex, FOLDING)[2], valid & ~past)
+    # the oracle's view with the ghost ring blacked out
     r = _raster((240, 320), seed=4)
-    _assert_rasters_equal(birdview.birdview_transform(r, ex, intr, spec),
-                          birdview_transform(r, ex, intr, spec))
+    want = birdview_transform(r, ex, FOLDING, spec)
+    want.luma.ravel()[ghost] = 0
+    want.green.ravel()[ghost] = 0
+    _assert_rasters_equal(birdview.birdview_transform(r, ex, FOLDING, spec), want)
+    # and the spans now bound the folding lens's footprint too
+    nearest, bilinear, in_span = _seen_and_spans(ex, FOLDING, spec, (240, 320))
+    assert (nearest & ~past).any()
+    assert not (nearest & ~past & ~in_span).any() and not (bilinear & ~past & ~in_span).any()
+    assert in_span.sum() < in_span.size
+
+
+@pytest.mark.parametrize("k1, k2", [(-0.2, 0.0), (-0.5, 0.05), (0.1, -0.02), (-0.3, -0.01)])
+def test_fold_radius_is_where_r_f_r_stops_increasing(k1, k2):
+    intr = CameraIntrinsics(fx=900.0, fy=900.0, cx=159.5, cy=119.5, width=320, height=240,
+                            k1=k1, k2=k2)
+    s = birdview._fold_radius_sq(intr)
+    slope = [1.0 + 3.0 * k1 * x + 5.0 * k2 * x * x for x in (0.999 * s, s, 1.001 * s)]
+    assert slope[0] > 0.0 and abs(slope[1]) < 1e-12 and slope[2] < 0.0
+    assert all(1.0 + 3.0 * k1 * x + 5.0 * k2 * x * x > 0.0 for x in np.linspace(0.0, s, 1000)[:-1])
+
+
+@pytest.mark.parametrize("k1, k2", [(-0.3, 0.1), (0.0, 0.0), (-0.25, 0.05), (0.1, 0.0),
+                                    (0.1, 0.02)])
+def test_lenses_that_never_fold_have_no_fold_radius(k1, k2):
+    # the benchmark's head lens (-0.3, 0.1) among them, so its projection is unchanged
+    intr = CameraIntrinsics(fx=260.0, fy=260.0, cx=159.5, cy=119.5, width=320, height=240,
+                            k1=k1, k2=k2)
+    assert birdview._fold_radius_sq(intr) == math.inf
 
 
 # --- the cache ---------------------------------------------------------------------

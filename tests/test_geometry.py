@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from fieldkit.geometry import connected_components, points_segments_distance
+from fieldkit.geometry import connected_components, normalize_angles, points_segments_distance
 
 
 def test_shape_is_points_by_segments():
@@ -87,3 +87,62 @@ def test_connected_components_edge_cases():
     # the union direction does not change the grouping or its order
     assert connected_components(5, [(4, 1), (1, 4), (3, 0)]) == [[0, 3], [1, 4], [2]]
     assert connected_components(4, iter([(0, 3), (3, 2), (2, 1)])) == [[0, 1, 2, 3]]
+
+
+# --- normalize_angles against the np.mod form ---------------------------------
+
+def mod_wrap(theta):
+    """The np.mod form normalize_angles shortcuts: wrap into (-pi, pi]."""
+    t = np.mod(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
+    return np.where(t == -math.pi, math.pi, t)
+
+
+def _edges():
+    values = []
+    for v in (math.pi, 2.0 * math.pi, 3.0 * math.pi, 0.0):
+        for x in (v, -v):
+            values += [x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)]
+    # tiny angles vanish next to pi; just below -pi (the nextafter above),
+    # theta + pi is a tiny negative whose shift by 2 pi rounds to 2 pi
+    values += [-1e-300, -5e-17, 5e-17, -math.pi - 1e-15, math.pi + 1e-15]
+    return values
+
+
+def assert_same_wrap(theta):
+    want = mod_wrap(theta)
+    got = normalize_angles(theta)
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("theta", _edges())
+def test_wrap_matches_mod_on_edges_and_scalars(theta):
+    assert_same_wrap(theta)                 # a Python float
+    assert_same_wrap(np.float64(theta))
+    assert_same_wrap(np.array(theta))       # 0-d
+    assert -math.pi < normalize_angles(theta) <= math.pi
+
+
+def test_wrap_matches_mod_on_ints_and_shapes():
+    for theta in (0, 3, -3, 9, -9, 10, [1, 2], np.arange(-12, 13)):
+        assert_same_wrap(theta)
+    assert_same_wrap(np.array(_edges()))
+    assert_same_wrap(np.array(_edges()).reshape(-1, 1))
+    assert_same_wrap(np.empty(0))
+    assert_same_wrap(np.empty((0, 3)))
+    rng = np.random.default_rng(7)
+    for bound in (math.pi, 2.0 * math.pi, 3.0 * math.pi, 20.0):
+        assert_same_wrap(rng.uniform(-bound, bound, 100_000))
+        assert_same_wrap(rng.uniform(-bound, bound, (400, 32)))
+        assert_same_wrap(rng.uniform(-bound, bound, (400, 32))[:, ::3])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_wrap_of_non_finite_takes_the_mod_path(bad):
+    theta = np.array([0.5, bad, -2.0])
+    with np.errstate(invalid="ignore"):
+        assert_same_wrap(theta)
+        assert_same_wrap(bad)
+        got = normalize_angles(theta)
+    assert np.isnan(got[1]) and got[0] == 0.5 and got[2] == -2.0

@@ -1,9 +1,12 @@
-"""The vectorized measurement kernel against the per-feature loops it replaced.
+"""The vectorized measurement kernel and the run-length mode against the
+code they replaced.
 
 The three residual functions below are the earlier implementation, kept
-verbatim (with the BLAS point-to-segment distance they called) as an
-independent oracle. The weights of update_and_resample must match theirs
-bit for bit.
+verbatim (with the BLAS point-to-segment distance and the np.mod angle wrap
+they called) as an independent oracle. The weights of update_and_resample
+must match theirs bit for bit. The O(N^2) estimate_dominant_pose is kept
+verbatim too, and the mode over runs of equal poses must return the same
+pose on every set.
 """
 
 import math
@@ -13,16 +16,20 @@ import pytest
 
 from fieldkit.errors import Degenerate, InputError
 from fieldkit.field_model import FieldPose, FieldSpec
-from fieldkit.geometry import normalize_angles
 from fieldkit.localization import (
     CORNER,
     LINE,
+    MODE_RADIUS_THETA,
+    MODE_RADIUS_XY,
     POINT,
+    MonteCarloFilter,
     ParticleSet,
     RobotObservation,
     SensorModel,
     _layout_features,
     _observation_likelihoods,
+    estimate_dominant_pose,
+    estimate_pose,
     observation_likelihood,
     update_and_resample,
 )
@@ -32,6 +39,13 @@ SPEC = FieldSpec()
 
 
 # --- oracle: the per-feature loops, verbatim ---------------------------------
+
+def normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """Vectorized wrap into (-pi, pi]."""
+    t = np.mod(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
+    # np.mod puts exact -pi at the low end; the convention is (-pi, pi]
+    return np.where(t == -math.pi, math.pi, t)
+
 
 def points_segment_distance(points: np.ndarray, a, b) -> np.ndarray:
     """Distances from an (N, 2) array of points to the closed segment [a, b]."""
@@ -197,3 +211,122 @@ def test_single_pose_likelihood_matches_oracle():
         for obs in observations:
             want = float(_likelihoods(obs, pose.reshape(1, 3), SPEC, sm)[0])
             assert observation_likelihood(obs, fp, SPEC, sm) == want
+
+
+# --- oracle: the O(N^2) mode, verbatim ----------------------------------------
+
+def oracle_estimate_dominant_pose(particles):
+    w = particles.weights / particles.weights.sum()
+    poses = particles.poses
+    # weight captured within the radius around each particle, O(N^2) on
+    # moderate N; particles are a few hundred to a few thousand
+    dx = poses[:, 0][:, None] - poses[:, 0][None, :]
+    dy = poses[:, 1][:, None] - poses[:, 1][None, :]
+    dth = np.abs(normalize_angles(poses[:, 2][:, None] - poses[:, 2][None, :]))
+    near = (dx * dx + dy * dy <= MODE_RADIUS_XY ** 2) & (dth <= MODE_RADIUS_THETA)
+    mass = near @ w
+    k = int(np.argmax(mass))
+    sel = near[k]
+    return estimate_pose(ParticleSet(poses[sel], w[sel]))[0]
+
+
+def filter_sets(n, max_range, seed, steps):
+    """The particle set after every step of a seeded global localization run."""
+    sm = SensorModel(max_range=max_range)
+    traj = generate_trajectory(Scene(field=SPEC, robot=FieldPose(1.5, -1.0, 2.5)),
+                               steps=steps, odom_noise=(0.02, 0.02, 0.02),
+                               obs_sigmas=sm, seed=seed)
+    mcl = MonteCarloFilter(SPEC, n, sm, seed=seed)
+    sets = []
+    for step in traj["steps"]:
+        observations = [RobotObservation.from_dict(o) for o in step["observations"]]
+        mcl.step(step["odometry"], (0.05, 0.05, 0.05), observations)
+        sets.append(mcl.particles)
+    return sets
+
+
+def distinct(particles):
+    return len(np.unique(particles.poses, axis=0))
+
+
+def assert_mode_matches_oracle(particles):
+    assert estimate_dominant_pose(particles) == oracle_estimate_dominant_pose(particles)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mode_matches_oracle_on_resampled_sets(seed):
+    sets = filter_sets(500, 4.0, seed, steps=8)
+    resampled = [p for p in sets if distinct(p) < len(p)]
+    assert len(resampled) >= 4
+    for particles in sets:
+        assert_mode_matches_oracle(particles)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mode_matches_oracle_on_sets_not_resampled(seed):
+    particles, _, _ = seeded_case(500, 4.0, seed)
+    assert distinct(particles) == len(particles)
+    assert_mode_matches_oracle(particles)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mode_matches_oracle_with_duplicates_apart(seed):
+    particles = filter_sets(500, 4.0, seed, steps=6)[-1]
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        order = rng.permutation(len(particles))
+        shuffled = ParticleSet(particles.poses[order], particles.weights[order])
+        assert distinct(shuffled) < len(shuffled)
+        assert_mode_matches_oracle(shuffled)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mode_matches_oracle_with_headings_near_pi(seed):
+    rng = np.random.default_rng(seed)
+    n = 300
+    poses = np.column_stack([rng.normal(0.5, 0.3, n), rng.normal(-0.5, 0.3, n),
+                             math.pi + rng.normal(0.0, 0.3, n)])
+    poses[:, 2] = np.where(poses[:, 2] > math.pi, poses[:, 2] - 2 * math.pi, poses[:, 2])
+    poses[:5, 2] = [math.pi, -math.pi, np.nextafter(-math.pi, 0.0), np.nextafter(math.pi, 0.0),
+                    -math.pi]
+    # duplicate some rows next to each other and some far apart, as
+    # resampling and then a shuffle would
+    idx = np.sort(rng.integers(0, n, n))
+    idx[::7] = rng.integers(0, n, len(idx[::7]))
+    weights = rng.uniform(0.5, 1.5, n)
+    for w in (weights[idx], np.full(n, 1.0 / n)):
+        particles = ParticleSet(poses[idx], w)
+        assert (particles.poses[:, 2] > 3.0).any() and (particles.poses[:, 2] < -3.0).any()
+        assert_mode_matches_oracle(particles)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_mode_tie_goes_to_the_lower_index(first):
+    # two separated clusters of 32 particles each at weight 1/64, so both
+    # masses are exactly 1/2
+    rng = np.random.default_rng(5)
+    centres = [(-2.0, 1.0, 0.5), (2.5, -1.0, -2.0)]
+    clusters = [np.asarray(c) + rng.normal(0.0, 0.02, (32, 3)) for c in centres]
+    particles = ParticleSet(np.vstack([clusters[first], clusters[1 - first]]),
+                            np.full(64, 1.0 / 64))
+    pose = estimate_dominant_pose(particles)
+    assert pose == oracle_estimate_dominant_pose(particles)
+    assert pose == estimate_pose(ParticleSet(clusters[first], np.full(32, 1.0 / 64)))[0]
+    # with every pose repeated in place the tie holds, and so does the winner
+    doubled = ParticleSet(np.repeat(particles.poses, 2, axis=0), np.full(128, 1.0 / 128))
+    assert estimate_dominant_pose(doubled) == oracle_estimate_dominant_pose(doubled)
+    assert math.hypot(pose.x - centres[first][0], pose.y - centres[first][1]) < 0.05
+
+
+def test_mode_of_one_particle_is_its_pose():
+    particles = ParticleSet([[1.0, -2.0, 3.0]], [0.25])
+    pose = estimate_dominant_pose(particles)
+    assert pose == oracle_estimate_dominant_pose(particles)
+    assert pose == FieldPose(1.0, -2.0, 3.0)
+
+
+def test_mode_matches_oracle_on_relocalize_sized_sets():
+    sets = filter_sets(2000, 8.0, 3, steps=3)
+    assert any(distinct(p) < 1000 for p in sets)
+    for particles in sets:
+        assert_mode_matches_oracle(particles)
