@@ -5,6 +5,8 @@ consistency check, reprojection of the disparity map to a camera-frame
 point cloud, voxel binning for noise rejection, a RANSAC ground-plane fit,
 and single-linkage clustering of the points protruding above the plane.
 Each stage reads its settings from a StereoParams, checked when it is built.
+Block matching runs only on the rows of the params.step grid, the rows the
+reprojection samples, and RANSAC scores its hypotheses in blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .raster import Raster
 
 # block_match's best SAD, times 1 + this, must not exceed the best outside +/-1
 UNIQUENESS_MARGIN = 0.15
+# ransac_plane scores this many hypotheses per product
+RANSAC_BLOCK = 64
+# a sample whose cross product is shorter than this is collinear
+COLLINEAR_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,54 +137,66 @@ def _key_dtype(window: int, shift: int):
 
 
 def block_match(left: Raster, right: Raster, params: StereoParams) -> np.ndarray:
-    """Integer disparity map minimizing windowed SAD.
+    """Integer disparity map minimizing windowed SAD, on the params.step grid.
 
-    Returns int32 (H, W); invalid pixels are -1. Flat-cost ties resolve to
-    the smallest disparity. Two validity filters: the best cost must beat
-    the best outside +/-1 disparity by UNIQUENESS_MARGIN, and the
-    left-right consistency check tolerates 1 px.
+    Returns int32 (H, W). Only the rows that are multiples of params.step are
+    matched, the rows disparity_to_points reads; every other row, and every
+    invalid pixel, is -1. Flat-cost ties resolve to the smallest disparity.
+    Two validity filters: the best cost must beat the best outside +/-1
+    disparity by UNIQUENESS_MARGIN, and the left-right consistency check
+    tolerates 1 px. Both stay within one row, as do the horizontal window
+    sums, so a matched row equals the row of a full match.
 
-    Memory is O(H W) with no cost volume: one pass over the
-    min(max_disparity + 1, W - window + 1) disparities packs each SAD c into
-    the key (c << shift) | d, so an elementwise minimum keeps the smallest
-    cost and, among equal costs, the smallest d. Running minima of the keys
-    give the left best, the right best (SAD_r(u, d) = SAD_l(u + d, d)) and,
-    for the uniqueness test, the four smallest keys per pixel: at most two
-    of the last three are the winner's neighbours, so they hold the best key
+    Memory is O(H W), with no cost volume and the keys held on the grid rows
+    only: one pass over the min(max_disparity + 1, W - window + 1)
+    disparities sums each pixel's SAD down its window on every row, then
+    across the window on the grid rows, and packs each SAD c into the key
+    (c << shift) | d, so an elementwise minimum keeps the smallest cost and,
+    among equal costs, the smallest d. Running minima of the keys give the
+    left best, the right best (SAD_r(u, d) = SAD_l(u + d, d)) and, for the
+    uniqueness test, the four smallest keys per pixel: at most two of the
+    last three are the winner's neighbours, so they hold the best key
     outside +/-1 of it.
     """
     if left.luma.shape != right.luma.shape:
         raise DimensionMismatch("stereo pair shapes differ")
-    window = params.window
+    window, step = params.window, params.step
     h, w = left.luma.shape
     n_d = params.max_disparity + 1
     n_layers = min(n_d, w - window + 1)
     disparity = np.full((h, w), -1, dtype=np.int32)
-    if h < window or n_layers < 1:
-        return disparity  # no window fits inside the image
     half = window // 2
+    first = -(-half // step) * step  # the first grid row whose window fits
+    if first > h - 1 - half or n_layers < 1:
+        return disparity  # no window fits inside the image on the grid
     shift = (n_layers - 1).bit_length()
     mask = (1 << shift) - 1
     dtype = _key_dtype(window, shift)
     # no window inside the image; its low bits are all ones, so | d keeps it
     none = np.iinfo(dtype).max
-    l = left.luma.astype(dtype).ravel()
-    r = right.luma.astype(dtype).ravel()
+    # shifted, so |l - r| and its sums come out as c << shift
+    l = left.luma.astype(dtype).ravel() << shift
+    r = right.luma.astype(dtype).ravel() << shift
 
-    # state covers the rows whose window fits, flattened with row stride w
-    n_rows = h - window + 1
+    # state covers the grid rows, state row t centred on image row first + t step
+    n_rows = (h - 1 - half - first) // step + 1
     key = np.full((n_rows, w), none, dtype=dtype)
     flat = key.ravel()
     best = np.full((4 if n_d > 3 else 1, flat.size), none, dtype=dtype)
     right_best = np.full(flat.size, none, dtype=dtype)
     scratch = np.empty_like(flat)
+    diff = np.empty_like(l)
     for d in range(n_layers):
-        # pixel i = j + d against right pixel j; columns below d wrap a row
-        diff = np.abs(l[d:] - r[:l.size - d])
-        diff <<= shift  # so the sums come out as c << shift
-        sums = _run_sum(_run_sum(diff, window, w), window, 1)
-        # the window whose top-left is pixel j + d centres on key[j + d + half]
-        flat[d + half:d + half + sums.size] = sums
+        # diff[i] pairs left pixel i with right pixel i - d; columns below d
+        # pair with the row above, diff[:d] keeps an earlier layer's values,
+        # and the windows that read either are set to none below
+        part = diff[d:]
+        np.abs(np.subtract(l[d:], r[:l.size - d], out=part), out=part)
+        # column sums down every window, then across those of the grid rows
+        columns = _run_sum(diff, window, w).reshape(-1, w)[first - half::step]
+        sums = _run_sum(columns.ravel(), window, 1)
+        # the window whose top-left is pixel j centres on key[j + half]
+        flat[half:half + sums.size] = sums
         key[:, :d + half] = none  # its window leaves the right image
         key[:, w - half:] = none  # its window leaves both images
         flat |= d
@@ -202,7 +220,7 @@ def block_match(left: Raster, right: Raster, params: StereoParams) -> np.ndarray
     ur_ok = valid_l & (ur >= 0)
     matched = right_best.reshape(n_rows, w)[rows, np.where(ur_ok, ur, 0)]
     consistent = ur_ok & (matched != none) & (np.abs(disp_l - (matched & mask)) <= 1)
-    disparity[half:h - half] = np.where(consistent, disp_l, -1)
+    disparity[first:h - half:step] = np.where(consistent, disp_l, -1)
     return disparity
 
 
@@ -256,37 +274,82 @@ def _canonical_orientation(n: np.ndarray) -> np.ndarray:
     return n
 
 
+def _plane_through(pts: np.ndarray, i, j, k):
+    """Unit normal n and offset d of the plane n . x = d through pts[i],
+    pts[j] and pts[k], or None when they are collinear."""
+    n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+    norm = np.linalg.norm(n)
+    if norm < COLLINEAR_NORM:
+        return None
+    n = n / norm
+    return n, float(n @ pts[i])
+
+
+def _inlier_count(pts: np.ndarray, n: np.ndarray, d: float, inlier_dist: float) -> int:
+    return int((np.abs(pts @ n - d) <= inlier_dist).sum())
+
+
+def _sample_counts(pts: np.ndarray, samples: np.ndarray, inlier_dist: float) -> np.ndarray:
+    """_inlier_count of _plane_through each (i, j, k) row of samples, or 0
+    when collinear, from one (N, B) product.
+
+    That product rounds residuals differently from _inlier_count's
+    matrix-vector product, so a sample with a residual, or a normal's
+    length, within rounding of its threshold is counted again the scalar way.
+    """
+    # far above the few ulps by which the two residuals can differ
+    slack = 1e-12 * (float(np.abs(pts).max()) + inlier_dist)
+    origin = pts[samples[:, 0]]
+    normals = np.cross(pts[samples[:, 1]] - origin, pts[samples[:, 2]] - origin)
+    norms = np.linalg.norm(normals, axis=1)
+    planar = norms >= COLLINEAR_NORM
+    normals /= np.where(planar, norms, 1.0)[:, None]
+    residual = pts @ normals.T
+    residual -= np.einsum("ij,ij->i", normals, origin)
+    np.abs(residual, out=residual)
+    counts = np.count_nonzero(residual <= inlier_dist, axis=0)
+    counts[~planar] = 0
+    residual -= inlier_dist
+    np.abs(residual, out=residual)
+    recount = ((residual <= slack).any(axis=0)
+               | (np.abs(norms - COLLINEAR_NORM) <= 1e-12 * COLLINEAR_NORM))
+    for h in np.flatnonzero(recount):
+        plane = _plane_through(pts, *samples[h])
+        counts[h] = 0 if plane is None else _inlier_count(pts, *plane, inlier_dist)
+    return counts
+
+
 def ransac_plane(pc: PointCloud, params: StereoParams) -> GroundPlane:
-    """Classic 3-point RANSAC followed by a least-squares refit over inliers."""
+    """Classic 3-point RANSAC followed by a least-squares refit over inliers.
+
+    Samples are scored RANSAC_BLOCK at a time (_sample_counts), so memory is
+    O(N RANSAC_BLOCK) for any ransac_iterations. The first sample with the
+    most inliers wins, and its plane is recomputed alone for the refit.
+    """
     pts = pc.points
     if len(pts) < 3:
         raise DegenerateCloud(f"need at least 3 points, got {len(pts)}")
     rng = np.random.default_rng(params.seed)
     best_count = 0
     best = None
-    for _ in range(params.ransac_iterations):
-        i, j, k = rng.choice(len(pts), 3, replace=False)
-        n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            continue  # collinear sample
-        n = n / norm
-        d = float(n @ pts[i])
-        count = int((np.abs(pts @ n - d) <= params.inlier_dist).sum())
-        if count > best_count:
-            best_count = count
-            best = (n, d)
+    for start in range(0, params.ransac_iterations, RANSAC_BLOCK):
+        size = min(RANSAC_BLOCK, params.ransac_iterations - start)
+        samples = np.array([rng.choice(len(pts), 3, replace=False) for _ in range(size)])
+        counts = _sample_counts(pts, samples, params.inlier_dist)
+        h = int(np.argmax(counts))
+        if counts[h] > best_count:  # strict, so the earliest maximum wins
+            best_count = counts[h]
+            best = samples[h]
     if best is None:
         raise DegenerateCloud("all RANSAC samples were collinear")
-    n, d = best
+    n, d = _plane_through(pts, *best)
     inliers = pts[np.abs(pts @ n - d) <= params.inlier_dist]
     centroid = inliers.mean(axis=0)
     _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
     n_ref = _canonical_orientation(vt[-1])
     d_ref = float(n_ref @ centroid)
-    count = int((np.abs(pts @ n_ref - d_ref) <= params.inlier_dist).sum())
     return GroundPlane(normal=tuple(float(v) for v in n_ref), offset=d_ref,
-                       inlier_count=count)
+                       inlier_count=_inlier_count(pts, n_ref, d_ref, params.inlier_dist))
 
 
 def extract_clusters(pc: PointCloud, plane: GroundPlane,

@@ -1,5 +1,5 @@
-"""Time the vision stages and the localization steps, each alone, on the
-benchmark's seeded frames, and print their medians.
+"""Time the vision and stereo stages and the localization steps, each alone,
+on the benchmark's seeded frames, and print their medians.
 
     PYTHONPATH=src python3 tests/stage_times.py [--repeats N]
 
@@ -9,7 +9,10 @@ changed) and times each frame's stages as the frame loop calls them.
 
 Vision: it renders the camera frames and times a birdview with an empty
 index cache (a miss), the same birdview again (a hit), then detect_lines on
-it. Localization: it runs the workload's filter (same particle count, seed,
+it. Stereo: on each of match_frames' stereo pairs it times block_match,
+disparity_to_points, voxel_bin, ransac_plane and extract_clusters with the
+workload's rig and parameters, each on the output of the one before.
+Localization: it runs the workload's filter (same particle count, seed,
 odometry, noise and observations) over two cycles of the frame pool and
 times predict, update_and_resample and estimate_dominant_pose on each frame.
 The filter's random state is restored before each repeat, so every repeat
@@ -19,9 +22,10 @@ frames and repeats, and the last line per workload the median number of
 distinct poses the mode saw.
 
 BLAS is pinned to one thread before numpy loads, as perfbench/run.py pins
-it: the birdview projects its points with an (N, 3) @ (3, 3) product, which
-a multi-threaded BLAS runs several times slower, so unpinned times would
-not be the times the benchmark sees. The name does not match pytest's
+it: the birdview projects its points with an (N, 3) @ (3, 3) product and
+ransac_plane scores its hypotheses with an (N, 3) @ (3, B) one, which a
+multi-threaded BLAS runs several times slower, so unpinned times would not
+be the times the benchmark sees. The name does not match pytest's
 test_*.py pattern, so the suite does not collect it.
 """
 
@@ -44,6 +48,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from fieldkit import birdview, errors, field_model, line_vision, localization  # noqa: E402
+from fieldkit import stereo_obstacles  # noqa: E402
 
 
 def _timed(fn, *args):
@@ -52,15 +57,40 @@ def _timed(fn, *args):
     return out, (time.perf_counter() - t0) * 1e3
 
 
+STEREO_STAGES = ("block_match", "disparity_to_points", "voxel_bin", "ransac_plane",
+                 "extract_clusters")
+
+
+def stereo_times(rendered: dict, repeats: int, times: dict) -> None:
+    """Append to times each stereo stage's samples, in ms, on one pair."""
+    params = workloads.STEREO_PARAMS
+    for _ in range(repeats):
+        disparity, ms = _timed(stereo_obstacles.block_match, rendered["left"],
+                               rendered["right"], params)
+        times["block_match"].append(ms)
+        cloud, ms = _timed(stereo_obstacles.disparity_to_points, disparity, workloads.RIG,
+                           params)
+        times["disparity_to_points"].append(ms)
+        binned, ms = _timed(stereo_obstacles.voxel_bin, cloud, params)
+        times["voxel_bin"].append(ms)
+        plane, ms = _timed(stereo_obstacles.ransac_plane, binned, params)
+        times["ransac_plane"].append(ms)
+        _, ms = _timed(stereo_obstacles.extract_clusters, binned, plane, params)
+        times["extract_clusters"].append(ms)
+
+
 def stage_times(name: str, seed: int, repeats: int) -> dict:
-    """Every sample, in ms, of each stage on one workload's camera frames."""
+    """Every sample, in ms, of each stage on one workload's camera frames and
+    stereo pairs; a workload without stereo has no stereo samples."""
     wl = workloads.build(name)
     inputs, jobs = wl.make_inputs(seed)
     times = {"birdview miss": [], "birdview hit": [], "detect_lines": []}
+    times.update((stage, []) for stage in STEREO_STAGES)
     for job in jobs:
-        if job[0] != "camera":
-            continue
         j, rendered = wl.render(job)
+        if job[0] == "stereo":
+            stereo_times(rendered, repeats, times)
+            continue
         frame = inputs["frames"][j]
         camera, spec = workloads._head_camera(frame["pan"] + wl.drift(j), frame["tilt"])
         args = (rendered["image"], camera, workloads.HEAD_INTRINSICS, spec)
@@ -129,6 +159,8 @@ def main(argv=None) -> int:
             times, distinct = mcl_times(name, seed, args.repeats)
             times.update(stage_times(name, seed, args.repeats))
             for stage, samples in times.items():
+                if not samples:
+                    continue
                 print(f"{name} seed {seed} {stage}: {statistics.median(samples):.2f} ms "
                       f"median of {len(samples)}")
             print(f"{name} seed {seed} distinct poses per set: {statistics.median(distinct)} "

@@ -33,7 +33,7 @@ def textured_pair(shift, h=60, w=120, seed=0):
 
 def test_block_match_constant_shift():
     left, right = textured_pair(7)
-    disp = block_match(left, right, StereoParams(window=7, max_disparity=20))
+    disp = block_match(left, right, StereoParams(window=7, max_disparity=20, step=1))
     h, w = disp.shape
     interior = disp[10:h - 10, 35:w - 10]
     valid = interior[interior >= 0]
@@ -43,7 +43,7 @@ def test_block_match_constant_shift():
 
 def test_block_match_textureless_ties_to_zero():
     flat = Raster.from_gray(np.full((40, 60), 128, np.uint8))
-    disp = block_match(flat, flat, StereoParams(window=5, max_disparity=10))
+    disp = block_match(flat, flat, StereoParams(window=5, max_disparity=10, step=1))
     valid = disp[disp >= 0]
     assert np.all(valid == 0)
 
@@ -52,7 +52,7 @@ def test_block_match_noise_mostly_invalidated():
     rng = np.random.default_rng(3)
     left = Raster.from_gray(rng.integers(0, 256, (60, 80)).astype(np.uint8))
     right = Raster.from_gray(rng.integers(0, 256, (60, 80)).astype(np.uint8))
-    disp = block_match(left, right, StereoParams(window=5, max_disparity=24))
+    disp = block_match(left, right, StereoParams(window=5, max_disparity=24, step=1))
     h, w = disp.shape
     interior = disp[5:h - 5, 28:w - 5]
     assert (interior < 0).mean() >= 0.8

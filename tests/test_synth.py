@@ -117,7 +117,7 @@ def test_stereo_ground_disparity_matches_depth_formula():
                     width=320, height=240)
     ex = CameraExtrinsics(position=(-0.4, 0.0, 0.35), rpy=(0.0, 0.35, 0.0))
     left, right = render_stereo(Scene(), rig, ex)
-    disp = block_match(left, right, StereoParams(window=9, max_disparity=64))
+    disp = block_match(left, right, StereoParams(window=9, max_disparity=64, step=1))
     intr = CameraIntrinsics(fx=rig.focal, fy=rig.focal, cx=rig.cx, cy=rig.cy,
                             width=rig.width, height=rig.height)
     r_cw = ex.rotation_world_from_camera().T
