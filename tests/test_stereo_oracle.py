@@ -361,7 +361,8 @@ def stereo_case(draw):
     window = draw(st.sampled_from((1, 3, 5, 9, 15)))
     max_disparity = draw(st.integers(0, 30))
     uniqueness = draw(st.sampled_from((0.0, 0.15, 0.5)))
-    return left, right, window, max_disparity, uniqueness, (draw(st.integers(1, 4)),)
+    # step 1 reads the whole map; the drawn step adds a grid beside it
+    return left, right, window, max_disparity, uniqueness, (1, draw(st.integers(2, 4)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -514,10 +515,24 @@ def test_ransac_matches_oracle_on_match_frames_clouds(match_frames_clouds):
 
 @pytest.mark.parametrize("iterations", (1, stereo_obstacles.RANSAC_BLOCK,
                                         stereo_obstacles.RANSAC_BLOCK + 1, 1000))
-def test_ransac_matches_oracle_at_any_iteration_count(criterion_7_cloud, iterations):
+def test_ransac_matches_oracle_at_any_iteration_count(criterion_7_cloud, iterations,
+                                                     monkeypatch):
     params = dataclasses.replace(CRITERION_7, ransac_iterations=iterations)
     assert_same_plane(criterion_7_cloud, params)
-    assert_same_plane(_boundary_cloud(iterations, 300, 0.02), params)
+    # the boundary cloud is built for the first sample drawn at params.seed
+    params = dataclasses.replace(params, seed=iterations)
+    pts = _boundary_cloud(params.seed, 300, params.inlier_dist)
+    assert_same_plane(pts, params)
+    # and that sample, in ransac_plane's first block, is counted again the scalar way
+    rng = np.random.default_rng(params.seed)
+    block = np.array([rng.choice(len(pts), 3, replace=False)
+                      for _ in range(min(iterations, stereo_obstacles.RANSAC_BLOCK))])
+    recounted = []
+    plane_through = stereo_obstacles._plane_through
+    monkeypatch.setattr(stereo_obstacles, "_plane_through",
+                        lambda p, *ijk: recounted.append(ijk) or plane_through(p, *ijk))
+    stereo_obstacles._sample_counts(pts, block, params.inlier_dist)
+    assert tuple(block[0]) in recounted
 
 
 @pytest.mark.parametrize("seed", range(4))
