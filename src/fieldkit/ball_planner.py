@@ -5,11 +5,15 @@ first kick only) the robot's time to approach the ball, with the travel
 term doubled when the kick segment crosses an opponent disc. The heuristic
 is the remaining ball travel time to the opponent goal center, plus (for
 the first kick) the best teammate's approach time to the landing spot.
+
+The open set is one array of f = g + h per cell, scanned for its minimum on
+each pop (Dijkstra 1959's O(V^2) selection, with A*'s key). The kick graph
+is dense, with about 27 improvements per expansion, so a heap would mostly
+hold entries that go stale before they are popped.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -167,8 +171,10 @@ def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
     """A* over the kick graph from the ball cell to the goal cell.
 
     The first expanded edge is costed as the first kick; later edges carry
-    ball travel time only. Ties are broken by lower g, then smaller cell
-    index, so the search is fully deterministic.
+    ball travel time only. Pops follow (f, g, cell index): among open cells
+    of equal f, the lower g, then the smaller index, so the search is fully
+    deterministic. With zero_heuristic f is g bit for bit, so argmin's first
+    index is that choice already and the tie scan is skipped.
 
     With teammates the guided plan need not be the cheapest: the first kick's
     heuristic adds teammate approach time that the cost leaves out. On
@@ -194,28 +200,31 @@ def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
         h_goal = np.hypot(centers[:, 0] - ctx.goal_center[0],
                           centers[:, 1] - ctx.goal_center[1]) / ctx.ball_speed
 
-    # g of every open node; a closed node holds -inf, so no improvement test
-    # passes for it and none of its stale heap entries matches
+    # g of every open node, -inf once closed, so no improvement test passes
+    # for a closed node; f = g + h of every open node, inf for the others
     g = np.full(n, np.inf)
+    f = np.full(n, np.inf)
     parent = np.full(n, -1, dtype=np.int64)
     bounds = indptr.tolist()
     opponents = np.asarray(ctx.opponents, dtype=float).reshape(-1, 2)
-    push, pop = heapq.heappush, heapq.heappop
 
     start_center = cell_center(start_cell, spec)
-    g[start] = 0.0
-    heap = [(0.0, 0.0, start)]  # the only entry, so its f is never compared
+    g[start] = f[start] = 0.0
     expanded = 0
-    goal = -1
-    while heap:
-        _, gu, u = pop(heap)
-        if gu != g[u]:
-            continue
+    while True:
+        u = int(f.argmin())
+        fu = f[u]
+        if fu == np.inf:
+            raise NoPath("goal cells unreachable with the given kick set")
+        if not zero_heuristic and f[u + 1:].min(initial=np.inf) == fu:
+            tied = np.flatnonzero(f == fu)
+            u = int(tied[g[tied].argmin()])
         expanded += 1
         if u == target:
-            goal = u
             break
+        gu = g[u]
         g[u] = -np.inf
+        f[u] = np.inf
         lo, hi = bounds[u], bounds[u + 1]
         vs = dst[lo:hi]
         hv = h_goal
@@ -240,20 +249,17 @@ def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
         if iv.size:
             ig = gn[improve]
             g[iv] = ig
+            f[iv] = ig + hv[iv]
             parent[iv] = u
-            for item in zip((ig + hv[iv]).tolist(), ig.tolist(), iv.tolist()):
-                push(heap, item)
-    if goal < 0:
-        raise NoPath("goal cells unreachable with the given kick set")
 
     cells = []
-    node = goal
+    node = target
     while node >= 0:
         cells.append(node)
         node = parent[node]
     cells.reverse()
     waypoints = tuple(cell_center(GridIndex(c // n_cols, c % n_cols), spec) for c in cells)
-    return BallPlan(waypoints=waypoints, total_cost=float(g[goal]), expanded_nodes=expanded)
+    return BallPlan(waypoints=waypoints, total_cost=float(g[target]), expanded_nodes=expanded)
 
 
 def plan_cost_recomputed(ctx: PlanContext, plan: BallPlan) -> float:

@@ -272,10 +272,11 @@ def _nearest_index(u, v, valid, src_shape) -> np.ndarray:
 def _gather_nearest(r: Raster, index: np.ndarray) -> Raster:
     """Both channels read through a flat index map; index h*w reads 0.
 
-    Fancy indexing copies, so the output never aliases the index map.
+    np.take returns a new array, so the output never aliases the index map,
+    and it gathers faster than fancy indexing with the same result.
     """
     def gather(channel):
-        return np.concatenate([channel.ravel(), np.zeros(1, channel.dtype)])[index]
+        return np.take(np.concatenate([channel.ravel(), np.zeros(1, channel.dtype)]), index)
 
     return Raster(gather(r.luma), gather(r.green))
 

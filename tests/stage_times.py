@@ -1,11 +1,13 @@
-"""Time the vision and stereo stages and the localization steps, each alone,
-on the benchmark's seeded frames, and print their medians.
+"""Time the vision and stereo stages, the localization steps and the planner,
+each alone, on the benchmark's seeded frames and scenes, and print their
+medians.
 
     PYTHONPATH=src python3 tests/stage_times.py [--repeats N]
 
-For seeds 1 and 2 it builds the inputs of perfbench's head_scan and
-match_frames workloads through perfbench/workloads.py (imported, not
-changed) and times each frame's stages as the frame loop calls them.
+For seeds 1 and 2 it builds the inputs of perfbench's head_scan,
+match_frames and set_pieces workloads through perfbench/workloads.py
+(imported, not changed) and times each frame's stages as the frame loop
+calls them.
 
 Vision: it renders the camera frames and times a birdview with an empty
 index cache (a miss), the same birdview again (a hit), then detect_lines on
@@ -17,9 +19,13 @@ odometry, noise and observations) over two cycles of the frame pool and
 times predict, update_and_resample and estimate_dominant_pose on each frame.
 The filter's random state is restored before each repeat, so every repeat
 times the same call and the filter follows the benchmark's trajectory.
-Each frame is timed N times (default 5); a line gives the median over all
-frames and repeats, and the last line per workload the median number of
-distinct poses the mode saw.
+Planner: it times plan_ball_path on the first 512 scenes of perfbench's
+set_pieces workload (both kick sets), after one untimed query per kick set
+has built the kick graphs, as the workload's warm-up does.
+Each frame or scene is timed N times (default 5); a line gives the median
+over all frames and repeats, and the last line per workload the median
+number of distinct poses the mode saw. The planner's line gives the median
+and p90 over all scenes and repeats, and the median expanded_nodes.
 
 BLAS is pinned to one thread before numpy loads, as perfbench/run.py pins
 it: the birdview projects its points with an (N, 3) @ (3, 3) product and
@@ -47,7 +53,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from fieldkit import birdview, errors, field_model, line_vision, localization  # noqa: E402
+from fieldkit import ball_planner, birdview, errors, field_model, line_vision  # noqa: E402
+from fieldkit import localization  # noqa: E402
 from fieldkit import stereo_obstacles  # noqa: E402
 
 
@@ -150,10 +157,35 @@ def mcl_times(name: str, seed: int, repeats: int) -> tuple[dict, list]:
     return times, distinct
 
 
+def plan_times(seed: int, repeats: int) -> tuple[list, list]:
+    """Every sample, in ms, of plan_ball_path on the first 512 set_pieces
+    scenes of one seed, and each scene's expanded_nodes."""
+    wl = workloads.build("set_pieces")
+    scenes = wl.make_inputs(seed)[0]["scenes"][:512]
+    spec = wl.setup({"scenes": scenes}).field
+    for ctx in scenes[:wl.warmup]:
+        ball_planner.plan_ball_path(ctx, spec)
+    times, expanded = [], []
+    for ctx in scenes:
+        for _ in range(repeats):
+            plan, ms = _timed(ball_planner.plan_ball_path, ctx, spec)
+            times.append(ms)
+        expanded.append(plan.expanded_nodes)
+    return times, expanded
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
+    # the planner runs first: right after the stereo stages its first ~1,500
+    # queries took 1.5x as long as in a fresh process
+    for seed in (1, 2):
+        times, expanded = plan_times(seed, args.repeats)
+        p90 = statistics.quantiles(times, n=10)[-1]
+        print(f"set_pieces seed {seed} plan_ball_path: {statistics.median(times):.2f} ms "
+              f"median, {p90:.2f} ms p90 of {len(times)}; expanded_nodes "
+              f"{statistics.median(expanded)} median")
     for name in ("head_scan", "match_frames"):
         for seed in (1, 2):
             times, distinct = mcl_times(name, seed, args.repeats)
