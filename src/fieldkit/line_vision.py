@@ -2,12 +2,14 @@
 
 Pipeline: a three-rectangle sliding window scores every (decimated) image
 site in a horizontal and a vertical pass, producing two heatmaps; each pass
-scores the whole site grid as one box-sum evaluation on integral images per
-distinct line width. 1-D non-maximum suppression along each pass's scan
-direction keeps line-center candidates; a seeded progressive probabilistic
-Hough transform turns the candidates into segments; near-collinear segments
-are merged; pairs of merged lines meeting near 90 degrees become corner
-observations (1 for an L junction, 2 for a T, 4 for an X).
+reads its box sums from rows and columns of two integral images (int32 when
+every sum fits), one evaluation per run of site rows with one line width. 1-D
+non-maximum suppression along each pass's scan direction keeps line-center
+candidates; a seeded progressive probabilistic Hough transform turns the
+candidates into segments, computing the accumulator cells of a block of
+points at once; near-collinear segments are merged; pairs of merged lines
+meeting near 90 degrees become corner observations (1 for an L junction, 2
+for a T, 4 for an X).
 
 The passes and NMS run only on the bounding box of the nonzero pixels,
 padded so that every site outside it would score 0: a birdview is black
@@ -30,7 +32,9 @@ Point = tuple[float, float]
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
-# the most int32 cells (128 MiB) a Hough accumulator may take; a finer one is a MemoryError
+# the most int32 cells (128 MiB) a Hough accumulator may take; a finer one is a
+# MemoryError. It also sizes the blocks of curves hough_segments computes at
+# once: at most HOUGH_MAX_CELLS / 16 cells, of 48 bytes each while computed
 HOUGH_MAX_CELLS = 1 << 25
 
 
@@ -118,10 +122,23 @@ class VisionConfig:
 
 
 def integral_image(channel: np.ndarray) -> np.ndarray:
-    """Summed-area table with a zero border: table[y, x] = sum over [0,y) x [0,x)."""
+    """Summed-area table with a zero border: table[y, x] = sum over [0,y) x [0,x).
+
+    The table is int32 when the channel is bool or unsigned and its size
+    times its dtype's max is below 2**31, and int64 otherwise. The table of
+    such a channel is monotone in y and x, so no entry, and no rect_sum with
+    y0 <= y1 and x0 <= x1 on the way to it, leaves int32.
+    """
     c = np.asarray(channel)
-    out = np.zeros((c.shape[0] + 1, c.shape[1] + 1), dtype=np.int64)
-    np.cumsum(c, axis=0, dtype=np.int64, out=out[1:, 1:])
+    dtype = np.int64
+    if c.dtype.kind in "bu":
+        top = 1 if c.dtype.kind == "b" else int(np.iinfo(c.dtype).max)
+        if c.size * top < 2**31:
+            dtype = np.int32
+    out = np.zeros((c.shape[0] + 1, c.shape[1] + 1), dtype=dtype)
+    # copied first: a cumsum that also casts runs at about half the speed
+    out[1:, 1:] = c
+    np.cumsum(out[1:, 1:], axis=0, out=out[1:, 1:])
     np.cumsum(out[1:, 1:], axis=1, out=out[1:, 1:])
     return out
 
@@ -153,45 +170,74 @@ def line_response_pass(tables, direction: str, width_map, cfg: VisionConfig) -> 
     raster. The middle rectangle width follows the expected line width for
     the image row; the side rectangles are the same size and adjacent. Scores
     clip at 0, and sites whose window leaves the image score 0. Returns the
-    score of every site of the decimated grid, scored as one box-sum
-    evaluation per distinct line width.
+    score of every site of the decimated grid.
+
+    Each run of site rows with one line width lw is scored at once from
+    the tables. The horizontal pass takes each site row's two boundary rows
+    and subtracts them, which gives the sums of the lw-tall strip along that
+    row; a site's three boxes are differences of that strip's sums at the
+    four window edges, lw apart along the row. The vertical pass does the
+    same with each site column's two boundary columns and window edges lw
+    apart down the column. The rows and columns are gathered with take, so
+    every arithmetic operation runs on contiguous arrays of one shape and
+    dtype: broadcast, cast or strided operands go through numpy's iterator,
+    and on Python 3.11 those crashed a thread while another thread started
+    and stopped tracemalloc.
     """
     if direction not in (HORIZONTAL, VERTICAL):
         raise InputError(f"unknown pass direction {direction!r}")
     h, w = (n - 1 for n in tables[0].shape)
-    decimation = cfg.decimation
-    rows = np.arange(0, h, decimation)
-    n_cols = len(range(0, w, decimation))
-    row_widths = _width_map_as_array(width_map, h)[rows]
-    values = np.zeros((len(rows), n_cols))
-    for lw in np.unique(row_widths).tolist():
+    d = cfg.decimation
+    n_rows, n_cols = len(range(0, h, d)), len(range(0, w, d))
+    widths = _width_map_as_array(width_map, h)[::d]
+    values = np.zeros((n_rows, n_cols))
+
+    # site rows [bounds[m], bounds[m + 1]) share one width
+    bounds = np.flatnonzero(np.diff(widths, prepend=0, append=0)).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lw = int(widths[a])
         half = lw // 2
-        # window edges relative to the site: three lw-wide boxes along the
-        # scan direction ([side][mid][side]), one lw-wide box across it
-        along = (-half - lw, -half, -half + lw, -half + 2 * lw)
+        # window edges relative to the site: [side][mid][side] spans `along`
+        # the scan direction, one lw-wide box spans `across` it
+        along = (-half - lw, -half + 2 * lw)
         across = (-half, -half + lw)
-        row_edges, col_edges = (across, along) if direction == HORIZONTAL else (along, across)
-        i = np.flatnonzero(row_widths == lw)
-        i = i[(rows[i] + row_edges[0] >= 0) & (rows[i] + row_edges[-1] <= h)]
-        # the sites whose window fits between columns 0 and w are contiguous
-        j0 = -(col_edges[0] // decimation)
-        j1 = min(n_cols - 1, (w - col_edges[-1]) // decimation)
-        if len(i) == 0 or j1 < j0:
+        ry, rx = (across, along) if direction == HORIZONTAL else (along, across)
+        # the sites whose window fits inside the table
+        k0, k1 = max(a, -(ry[0] // d)), min(b - 1, (h - ry[1]) // d)
+        j0, j1 = -(rx[0] // d), min(n_cols - 1, (w - rx[1]) // d)
+        if k1 < k0 or j1 < j0:
             continue
-        ys = [rows[i] + e for e in row_edges]
-        xs = [slice(j0 * decimation + e, j1 * decimation + e + 1, decimation) for e in col_edges]
+        # strip sums, then the strip sums at the window's four edges along the
+        # scan direction
         if direction == HORIZONTAL:
-            boxes = [(ys[0], ys[1], xs[k], xs[k + 1]) for k in range(3)]
+            ys = np.arange(k0, k1 + 1) * d + across[0]
+            strips = [t.take(ys + lw, axis=0) - t.take(ys, axis=0) for t in tables]
+            xs = np.arange(j0, j1 + 1) * d + along[0]
+            edges = [[s.take(xs + m * lw, axis=1) for m in range(4)] for s in strips]
         else:
-            boxes = [(ys[k], ys[k + 1], xs[0], xs[1]) for k in range(3)]
-        (side0_l, mid_l, side1_l), (side0_g, mid_g, side1_g) = (
-            [rect_sum(table, *box) for box in boxes] for table in tables)
-        side_l = side0_l + side1_l
-        side_g = side0_g + side1_g
+            xs = np.arange(j0, j1 + 1) * d + across[0]
+            y = slice(k0 * d + along[0], k1 * d + along[1] + 1)
+            strips = [t[y].take(xs + lw, axis=1) - t[y].take(xs, axis=1) for t in tables]
+            ys = np.arange(k1 - k0 + 1) * d
+            edges = [[s.take(ys + m * lw, axis=0) for m in range(4)] for s in strips]
+        # the box sums as float64, which holds them exactly
+        (mid_l, side_l), (mid_g, side_g) = (
+            ((e2 - e1).astype(float), ((e1 - e0) + (e3 - e2)).astype(float))
+            for e0, e1, e2, e3 in edges)
         area = lw * lw
-        score = (cfg.luma_weight * (mid_l / area - side_l / (2 * area))
-                 + cfg.green_weight * (side_g / (2 * area) - mid_g / area))
-        values[i, j0:j1 + 1] = np.maximum(score, 0.0)
+        # cfg.luma_weight * (mid_l / area - side_l / (2 * area))
+        #     + cfg.green_weight * (side_g / (2 * area) - mid_g / area),
+        # evaluated in place in that order
+        mid_l /= area
+        side_l /= 2 * area
+        mid_l -= side_l
+        mid_l *= cfg.luma_weight
+        side_g /= 2 * area
+        mid_g /= area
+        side_g -= mid_g
+        side_g *= cfg.green_weight
+        mid_l += side_g
+        values[k0:k1 + 1, j0:j1 + 1] = np.maximum(mid_l, 0.0, out=mid_l)
     return values
 
 
@@ -211,8 +257,9 @@ def nms(values: np.ndarray, direction: str, cfg: VisionConfig) -> np.ndarray:
 
 
 def _nms_1d(v: np.ndarray, radius: int, threshold: float) -> np.ndarray:
-    """Row-wise local maxima: strictly greater than earlier neighbors' scores
-    is not required, but later ties are claimed by the earlier site."""
+    """Row-wise local maxima at or above threshold: a kept site scores
+    strictly more than each earlier neighbor within radius and at least as
+    much as each later one, so on a plateau the earliest site wins."""
     keep = v >= threshold
     for off in range(1, radius + 1):
         left = np.zeros_like(v)
@@ -249,25 +296,53 @@ def hough_segments(points, cfg: VisionConfig, rng) -> list[LineSegment]:
     if cells > HOUGH_MAX_CELLS:
         raise MemoryError(f"Hough accumulator of {cells} cells exceeds {HOUGH_MAX_CELLS}")
     thetas = np.arange(0.0, math.pi, cfg.hough_theta)
-    acc = np.zeros((n_rho, len(thetas)), dtype=np.int32)
+    n_theta = len(thetas)
+    acc = np.zeros(n_rho * n_theta, dtype=np.int32)  # cell (rho bin, theta), flat
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
+    # the curves of the points in visiting order, a block of points at a time;
+    # cos_t, sin_t and the theta indices are repeated once per point of a
+    # block, so that curves() runs on contiguous arrays of one length, as
+    # line_response_pass does
+    block = max(1, HOUGH_MAX_CELLS // (16 * n_theta))
+    rows = min(block, len(pts))
+    cos_rows, sin_rows = np.tile(cos_t, rows), np.tile(sin_t, rows)
+    theta_rows = np.tile(np.arange(n_theta), rows)
 
-    def rho_bins(p):
-        return np.rint((p[0] * cos_t + p[1] * sin_t + max_rho) / rho).astype(np.int64)
+    def curves(p):
+        """The flat cell each of the points p votes for at each theta:
+        rint((x cos t + y sin t + max_rho) / rho) * n_theta + t, one row per
+        point."""
+        size = len(p) * n_theta
+        v = np.repeat(p[:, 0], n_theta)
+        v *= cos_rows[:size]
+        w = np.repeat(p[:, 1], n_theta)
+        w *= sin_rows[:size]
+        v += w
+        v += max_rho
+        v /= rho
+        flat = np.rint(v, out=v).astype(np.intp)
+        flat *= n_theta
+        flat += theta_rows[:size]
+        return flat.reshape(len(p), n_theta)
 
     alive = np.ones(len(pts), dtype=bool)
     voted = np.zeros(len(pts), dtype=bool)
     order = rng.permutation(len(pts))
+    start = end = 0
     segments: list[LineSegment] = []
-    for k in order:
+    for q, k in enumerate(order.tolist()):
         if not alive[k]:
             continue
-        bins = rho_bins(pts[k])
-        acc[bins, np.arange(len(thetas))] += 1
+        if q >= end:
+            start, end = q, q + block
+            block_curves = curves(pts[order[start:end]])
+        curve_cells = block_curves[q - start]
+        curve = acc[curve_cells]
+        curve += 1
+        acc[curve_cells] = curve
         voted[k] = True
-        curve = acc[bins, np.arange(len(thetas))]
-        best_t = int(np.argmax(curve))
+        best_t = int(curve.argmax())
         if curve[best_t] < votes:
             continue
         # walk the winning line: direction (-sin, cos), normal (cos, sin)
@@ -296,9 +371,10 @@ def hough_segments(points, cfg: VisionConfig, rng) -> list[LineSegment]:
             segments.append(LineSegment(tuple(p_start), tuple(p_end)))
         # consume the walked run either way so it is not revisited
         was_voted = run[voted[run]]
-        for j in was_voted:
-            acc[rho_bins(pts[j]), np.arange(len(thetas))] -= 1
-            voted[j] = False
+        for i in range(0, len(was_voted), block):
+            for cells in curves(pts[was_voted[i:i + block]]):
+                acc[cells] -= 1
+        voted[was_voted] = False
         alive[run] = False
     return segments
 

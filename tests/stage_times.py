@@ -11,9 +11,13 @@ calls them.
 
 Vision: it renders the camera frames and times a birdview with an empty
 index cache (a miss), the same birdview again (a hit), then detect_lines on
-it. Stereo: on each of match_frames' stereo pairs it times block_match,
-disparity_to_points, voxel_bin, ransac_plane and extract_clusters with the
-workload's rig and parameters, each on the output of the one before.
+it. It then runs detect_lines once more with each of its stages wrapped in
+a timer where detect_lines looks it up, and times each stage alone: the
+crop box, the two integral images, each pass, NMS and the Hough transform
+(both directions together), and merge plus corners. Stereo: on each of
+match_frames' stereo pairs it times block_match, disparity_to_points,
+voxel_bin, ransac_plane and extract_clusters with the workload's rig and
+parameters, each on the output of the one before.
 Localization: it runs the workload's filter (same particle count, seed,
 odometry, noise and observations) over two cycles of the frame pool and
 times predict, update_and_resample and estimate_dominant_pose on each frame.
@@ -43,6 +47,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -62,6 +67,38 @@ def _timed(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
     return out, (time.perf_counter() - t0) * 1e3
+
+
+# detect_lines' stage functions and the line each one's time goes to; a
+# pass goes to the line of its direction
+LINE_STAGES = {"_crop_box": "crop box", "integral_image": "integral images",
+               "line_response_pass": None, "nms": "nms", "hough_segments": "hough",
+               "merge_segments": "merge and corners", "detect_corners": "merge and corners"}
+LINE_LINES = ["lines: " + s for s in ("crop box", "integral images", "horizontal pass",
+                                      "vertical pass", "nms", "hough", "merge and corners")]
+
+
+def line_stages(bird) -> collections.Counter:
+    """The ms each detect_lines stage took on one birdview, summed over its
+    calls in one detect_lines run."""
+    spent = collections.Counter()
+    originals = {name: getattr(line_vision, name) for name in LINE_STAGES}
+
+    def timer(name, fn):
+        def timed(*args):
+            out, ms = _timed(fn, *args)
+            spent["lines: " + (LINE_STAGES[name] or f"{args[1]} pass")] += ms
+            return out
+        return timed
+
+    try:
+        for name, fn in originals.items():
+            setattr(line_vision, name, timer(name, fn))
+        line_vision.detect_lines(bird, workloads.LINE_WIDTH_PX, workloads.VISION)
+    finally:
+        for name, fn in originals.items():
+            setattr(line_vision, name, fn)
+    return spent
 
 
 STEREO_STAGES = ("block_match", "disparity_to_points", "voxel_bin", "ransac_plane",
@@ -92,7 +129,7 @@ def stage_times(name: str, seed: int, repeats: int) -> dict:
     wl = workloads.build(name)
     inputs, jobs = wl.make_inputs(seed)
     times = {"birdview miss": [], "birdview hit": [], "detect_lines": []}
-    times.update((stage, []) for stage in STEREO_STAGES)
+    times.update((stage, []) for stage in LINE_LINES + list(STEREO_STAGES))
     for job in jobs:
         j, rendered = wl.render(job)
         if job[0] == "stereo":
@@ -110,6 +147,8 @@ def stage_times(name: str, seed: int, repeats: int) -> dict:
             times["birdview miss"].append(miss)
             times["birdview hit"].append(hit)
             times["detect_lines"].append(lines)
+            for stage, ms in line_stages(bird).items():
+                times[stage].append(ms)
     return times
 
 

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,3 +419,45 @@ def test_detect_lines_with_noise():
     img = render_birdview(scene, bspec)
     lines, _ = detect_lines(img, width_map=round(width_px), cfg=cfg)
     assert len(lines) >= 2
+
+
+TOGGLED_TRACEMALLOC = textwrap.dedent("""
+    import threading, time, tracemalloc
+    import numpy as np
+    from fieldkit import line_vision as lv
+    rng = np.random.default_rng(0)
+    luma = rng.integers(0, 256, (240, 320), dtype=np.uint8)
+    tables = (lv.integral_image(luma), lv.integral_image(255 - luma))
+    pts = np.rint(rng.uniform(0, 300, (150, 2)))
+    pts[:60, 1] = 100.0
+    cfg = lv.VisionConfig(decimation=2)
+    done = threading.Event()
+    def toggle():
+        while not done.is_set():
+            tracemalloc.start()
+            tracemalloc.stop()
+    thread = threading.Thread(target=toggle)
+    thread.start()
+    start = time.perf_counter()
+    try:
+        while time.perf_counter() - start < 5.0:
+            for direction in (lv.HORIZONTAL, lv.VERTICAL):
+                lv.line_response_pass(tables, direction, 5, cfg)
+            lv.hough_segments(pts, cfg, rng)
+    finally:
+        done.set()
+        thread.join()
+""")
+
+
+def test_pass_and_hough_survive_tracemalloc_stopped_from_another_thread():
+    # on Python 3.11 an allocation that numpy's iterator makes with the GIL
+    # released can race tracemalloc.stop() in another thread and crash the
+    # process; a pass or Hough transform whose arithmetic runs on broadcast
+    # or strided operands crashed here within 3 s in 3 of 4 runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", TOGGLED_TRACEMALLOC], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
