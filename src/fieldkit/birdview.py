@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BehindCamera, HorizonRay, InputError, check_fields
+from .errors import AlgorithmError, BehindCamera, HorizonRay, InputError, check_fields
 from .raster import Raster
 
 # index maps kept by _nearest_index_map, 1.2 MB each at the default
@@ -53,42 +53,23 @@ class CameraIntrinsics:
     k2: float = 0.0
 
     def __post_init__(self):
-        check_fields(self, "intrinsics",
-                     ((("fx", "fy"), lambda v: 0 < v < math.inf, "positive and finite"),))
+        check_fields(self, "intrinsics", (
+            (("fx", "fy"), lambda v: 0 < v < math.inf, "positive and finite"),
+            (("k1", "k2"), math.isfinite, "finite"),
+        ))
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InputError("principal point must lie inside the image")
-        r_need = self._corner_radius_undistorted()
-        if r_need is None:
-            raise InputError("radial distortion not invertible over the image")
-        # r'(r) = r (1 + k1 r^2 + k2 r^4) must be strictly increasing on the
-        # radius range the image actually uses
-        r = np.linspace(0.0, r_need * 1.001, 512)
-        slope = 1.0 + 3.0 * self.k1 * r**2 + 5.0 * self.k2 * r**4
-        if np.any(slope <= 0.0):
-            raise InputError(
-                f"distortion r'(r) not monotone up to r={r_need:.3f} (k1={self.k1}, k2={self.k2})")
+        # r f(r) increases up to the fold, so the fold lies beyond 1.001 times the
+        # corner's undistorted radius when r f(r) at r_fold / 1.001 passes the corner
+        r = math.sqrt(_fold_radius_sq(self)) / 1.001
+        if r < math.inf and not self._corner_radius_distorted() < r * _radial_factor(self, r * r):
+            raise InputError(f"distortion r f(r) folds at r={1.001 * r:.3f}, before 1.001 times "
+                             f"the image corner's radius (k1={self.k1}, k2={self.k2})")
 
-    def _corner_radius_undistorted(self):
-        """Undistorted normalized radius needed to cover the image corners."""
-        corners = np.array([
-            [0.0, 0.0], [self.width - 1.0, 0.0],
-            [0.0, self.height - 1.0], [self.width - 1.0, self.height - 1.0],
-        ])
-        xd = (corners[:, 0] - self.cx) / self.fx
-        yd = (corners[:, 1] - self.cy) / self.fy
-        rd = float(np.hypot(xd, yd).max())
-        if self.k1 == 0.0 and self.k2 == 0.0:
-            return rd
-        r = rd
-        for _ in range(100):
-            f = 1.0 + self.k1 * r * r + self.k2 * r**4
-            if f <= 0.0 or not math.isfinite(f):
-                return None
-            r_new = rd / f
-            if abs(r_new - r) < 1e-12:
-                return r_new
-            r = r_new
-        return r if math.isfinite(r) else None
+    def _corner_radius_distorted(self) -> float:
+        """Distorted normalized radius of the corner farthest from the principal point."""
+        return math.hypot(max(self.cx, self.width - 1.0 - self.cx) / self.fx,
+                          max(self.cy, self.height - 1.0 - self.cy) / self.fy)
 
 
 @dataclass(frozen=True)
@@ -177,6 +158,48 @@ def _fold_radius_sq(intr: CameraIntrinsics) -> float:
     return math.inf
 
 
+def _radial_factor(intr: CameraIntrinsics, s):
+    """f(s) = 1 + k1 s + k2 s^2, the distorted radius over the undistorted one
+    at squared undistorted radius s (one value or an array)."""
+    return 1.0 + intr.k1 * s + intr.k2 * s * s
+
+
+def _undistorted_radius(rd, intr: CameraIntrinsics) -> np.ndarray:
+    """The undistorted radius r in [0, fold) with r f(r^2) = rd, elementwise
+    for one radius or an array; nan where rd is at or past the peak of
+    r f(r), which no ray reaches.
+
+    r f(r^2) increases on [0, fold), and f >= 4/9 there for every k1, k2, so
+    the root lies in [0, min(fold, 9/4 rd)]. Newton steps keep to that
+    bracket: a step that would leave it, or would not halve the move before
+    last, is replaced by bisection, so Newton cannot bounce between the ends
+    of a bracket that hardly shrinks (rtsafe, Press et al., Numerical
+    Recipes, section 9.4).
+    """
+    rd = np.asarray(rd, dtype=float)
+    s_fold = _fold_radius_sq(intr)
+    if s_fold < math.inf:
+        rd = np.where(rd < math.sqrt(s_fold) * _radial_factor(intr, s_fold), rd, math.nan)
+    lo = np.zeros_like(rd)
+    hi = np.minimum(2.25 * rd, math.sqrt(s_fold))
+    r = np.where(rd < hi, rd, 0.5 * hi)  # in the bracket, off the fold's zero slope
+    last = before = hi  # sizes of the last two moves, the bracket's to begin with
+    for _ in range(100):
+        s = r * r
+        g = r * _radial_factor(intr, s) - rd
+        lo = np.where(g < 0.0, r, lo)
+        hi = np.where(g > 0.0, r, hi)
+        step = g / (1.0 + 3.0 * intr.k1 * s + 5.0 * intr.k2 * s * s)
+        newton = r - step
+        take = (lo < newton) & (newton < hi) & (np.abs(step) <= 0.5 * before)
+        r_next = np.where(take, newton, 0.5 * (lo + hi))
+        before, last = last, np.abs(r_next - r)
+        if not (last > 1e-12).any():  # nan radii are done
+            return r_next
+        r = r_next
+    raise AlgorithmError(f"lens inversion did not converge (k1={intr.k1}, k2={intr.k2})")
+
+
 def _project_arrays(pts: np.ndarray, ex: CameraExtrinsics, intr: CameraIntrinsics):
     """Project (N, 3) field points; returns (u, v, valid) with valid=False
     behind the camera or, on a lens whose r f(r) folds back, past the fold."""
@@ -191,7 +214,7 @@ def _project_arrays(pts: np.ndarray, ex: CameraExtrinsics, intr: CameraIntrinsic
     if s_fold < math.inf:
         # past the fold, rays far outside the image would land back in it
         valid &= r2 < s_fold
-    f = 1.0 + intr.k1 * r2 + intr.k2 * r2 * r2
+    f = _radial_factor(intr, r2)
     u = intr.fx * (xn * f) + intr.cx
     v = intr.fy * (yn * f) + intr.cy
     return u, v, valid
@@ -211,21 +234,12 @@ def project(p, ex: CameraExtrinsics, intr: CameraIntrinsics) -> tuple[float, flo
 
 
 def _undistort_normalized(xd, yd, intr: CameraIntrinsics):
-    """Invert the radial model by fixed-point iteration (vectorized, <= 20 steps)."""
+    """Undistorted normalized coordinates of distorted ones (vectorized)."""
     if intr.k1 == 0.0 and intr.k2 == 0.0:
         return xd, yd
-    xn = np.array(xd, dtype=float, copy=True)
-    yn = np.array(yd, dtype=float, copy=True)
-    for _ in range(20):
-        r2 = xn * xn + yn * yn
-        f = 1.0 + intr.k1 * r2 + intr.k2 * r2 * r2
-        x_new = xd / f
-        y_new = yd / f
-        if np.max(np.abs(x_new - xn)) < 1e-8 and np.max(np.abs(y_new - yn)) < 1e-8:
-            xn, yn = x_new, y_new
-            break
-        xn, yn = x_new, y_new
-    return xn, yn
+    r = _undistorted_radius(np.hypot(xd, yd), intr)
+    f = _radial_factor(intr, r * r)
+    return xd / f, yd / f
 
 
 def _pixel_grid_normalized(intr: CameraIntrinsics):
@@ -247,7 +261,7 @@ def unproject_to_ground(px, ex: CameraExtrinsics, intr: CameraIntrinsics) -> tup
     ray_cam = np.array([float(xn), float(yn), 1.0])
     r_wc = ex.rotation_world_from_camera()
     d = r_wc @ ray_cam
-    if d[2] >= -1e-12:
+    if not d[2] < -1e-12:  # nan past the lens's peak
         raise HorizonRay(f"pixel {tuple(px)} ray does not reach the ground")
     t = -ex.position[2] / d[2]
     return (ex.position[0] + t * d[0], ex.position[1] + t * d[1])
@@ -300,10 +314,13 @@ def _sample_bilinear(channel: np.ndarray, u, v, valid):
     return out
 
 
+@functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
 def _ray_slopes(intr: CameraIntrinsics, src_shape: tuple[int, int]) -> tuple[float, float]:
     """Half-slopes (X, Y) of the pyramid |x| <= X z, |y| <= Y z in camera
     coordinates that holds every ray whose projection rounds into a source
     image of src_shape.
+
+    Cached, as a moving head misses the index map every frame but keeps its lens.
 
     The image's half-pixel edges bound the distorted coordinates; the
     undistorted ones are larger by at most 1 / min f(r) over the radii up to
@@ -315,32 +332,13 @@ def _ray_slopes(intr: CameraIntrinsics, src_shape: tuple[int, int]) -> tuple[flo
     xd = (max(intr.cx, w - 1.0 - intr.cx) + 0.5) / intr.fx
     yd = (max(intr.cy, h - 1.0 - intr.cy) + 0.5) / intr.fy
     k1, k2 = intr.k1, intr.k2
-
-    def f(s):
-        return 1.0 + k1 * s + k2 * s * s
-
-    def distorted(r):
-        return r * f(r * r)
-
-    # an undistorted radius at or past the corner's, by bisection on r f(r),
-    # or the fold radius when r f(r) never reaches the corner's
-    rd = math.hypot(xd, yd)
-    s_fold = _fold_radius_sq(intr)
-    r_fold = math.sqrt(s_fold)
-    if s_fold < math.inf and distorted(r_fold) <= rd:
-        s_max = s_fold
-    else:
-        lo, hi = 0.0, min(rd, r_fold)
-        while distorted(hi) < rd:
-            lo, hi = hi, min(2.0 * hi, r_fold)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if distorted(mid) < rd else (lo, mid)
-        s_max = hi * hi
+    # the corner's undistorted radius, or the fold's when r f(r) never reaches it
+    r = float(_undistorted_radius(math.hypot(xd, yd), intr))
+    s_max = _fold_radius_sq(intr) if math.isnan(r) else r * r
     # f is quadratic in s = r^2: its least value on [0, s_max] is at an end or the vertex
     vertex = min(max(-k1 / (2.0 * k2), 0.0), s_max) if k2 > 0.0 else 0.0
     # with a relative slack for rounding, far below a pixel
-    scale = (1.0 + 1e-6) / min(1.0, f(s_max), f(vertex))
+    scale = (1.0 + 1e-6) / min(1.0, _radial_factor(intr, s_max), _radial_factor(intr, vertex))
     return xd * scale, yd * scale
 
 
@@ -456,7 +454,7 @@ def fov_mask(intr: CameraIntrinsics, fov_limit: float) -> np.ndarray:
     """
     if fov_limit < 0:
         raise InputError("fov_limit must be non-negative")
-    corner = intr._corner_radius_undistorted()
+    corner = float(_undistorted_radius(intr._corner_radius_distorted(), intr))
     full_fov = 2.0 * math.atan(corner)
     if fov_limit > full_fov + 1e-9:
         raise InputError(

@@ -20,13 +20,10 @@ Point = tuple[float, float]
 Segment = tuple[Point, Point]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GridIndex:
     row: int
     col: int
-
-    def __lt__(self, other: "GridIndex"):
-        return (self.row, self.col) < (other.row, other.col)
 
 
 @dataclass(frozen=True)

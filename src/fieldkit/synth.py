@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .birdview import BirdviewSpec, CameraExtrinsics, CameraIntrinsics, _pixel_grid_normalized
-from .errors import check_fields
+from .errors import InputError, check_fields
 from .field_model import FieldPose, FieldSpec
 from .geometry import points_segments_distance
 from .localization import (
@@ -200,7 +200,7 @@ def generate_trajectory(scene: Scene, steps: int, odom_noise, obs_sigmas: Sensor
     odometry delta, the noisy observations, and the true pose.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise InputError("steps must be >= 1")
     rng = np.random.default_rng(seed)
     spec = scene.field
     pose = scene.robot

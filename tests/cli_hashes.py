@@ -9,8 +9,9 @@ The command set is acceptance criterion 8's (tests/test_acceptance.py),
 with its fixtures hashed too, plus what it leaves out: detect-lines on an
 image with corners and an overlay, stereo --cloud with extrinsics, birdview
 --bilinear, distort --mask-fov, localize --config with sigmas, plan
---zero-heuristic --overlay, pipeline-bench with --workers and detect-lines
-with its settings in a --config vision section. Every command runs in one
+--zero-heuristic --overlay, pipeline-bench with --workers, detect-lines
+with its settings in a --config vision section, and a render and a mask
+through the benchmark's distorted head lens. Every command runs in one
 temporary directory and must exit 0. The name does not match pytest's
 test_*.py pattern, so the suite does not collect it.
 """
@@ -34,6 +35,9 @@ CAMERA = {
     "extrinsics": {"position": [-1.0, 0.0, 0.7], "rpy": [0.0, 0.75, 0.0]},
     "birdview": {"out_width": 120, "out_height": 90, "meters_per_pixel": 0.02},
 }
+# the benchmark's head camera: barrel distortion k1 = -0.3, k2 = 0.1
+HEAD_CAMERA = {**CAMERA, "intrinsics": {"fx": 260.0, "fy": 260.0, "cx": 159.5, "cy": 119.5,
+                                        "width": 320, "height": 240, "k1": -0.3, "k2": 0.1}}
 RIG = {"baseline": 0.062, "focal": 700.0, "cx": 159.5, "cy": 119.5,
        "width": 320, "height": 240,
        "params": {"voxel": 0.03, "protrusion": 0.08, "link_dist": 0.1,
@@ -59,6 +63,8 @@ DOCUMENTS = {
                                "divider": 2}]},
     "traj_scene.json": {"robot": [-2.0, -1.0, 0.5]},
     "persp.json": {"camera": CAMERA, "noise_sigma": 4.0},
+    "head_camera.json": HEAD_CAMERA,
+    "persp_head.json": {"camera": HEAD_CAMERA, "noise_sigma": 4.0},
     "field_scene.json": {
         "birdview": {"out_width": 320, "out_height": 240, "meters_per_pixel": 0.02},
         "noise_sigma": 4.0},
@@ -123,6 +129,10 @@ COMMANDS = [
       "--out", "plan_zero.json"], ["plan_zero.json", "plan_zero.ppm"]),
     (["--seed", "9", "pipeline-bench", "pipe.json", "--frames", "4", "--sleep-ms", "0",
       "--workers", "2", "--out", "pipeline_workers.json"], ["pipeline_workers.json"]),
+    # the lens inversion: every ray of a render, and a mask that cuts the corners
+    (["--seed", "4", "render", "persp_head.json", "--out", "persp_head.ppm"], ["persp_head.ppm"]),
+    (["--seed", "9", "mask", "head_camera.json", "--fov-deg", "70", "--out", "mask_head.pgm"],
+     ["mask_head.pgm"]),
 ]
 
 

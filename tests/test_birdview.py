@@ -6,6 +6,7 @@ import pytest
 
 from fieldkit.birdview import (
     BirdviewSpec,
+    _pixel_grid_normalized,
     _project_arrays,
     CameraExtrinsics,
     CameraIntrinsics,
@@ -84,25 +85,47 @@ def test_pixel_above_horizon_raises():
     # camera level: the upper half of the image looks above the horizon
     with pytest.raises(HorizonRay):
         unproject_to_ground((intr.cx, 10.0), ex, intr)
+    # r f(r) = r - 0.2 r^3 peaks at 0.861: no ray reaches a pixel beyond it
+    intr = make_intr(k1=-0.2)
+    ex = CameraExtrinsics(position=(0.0, 0.0, 0.5), rpy=(0.0, math.pi / 2, 0.0))
+    unproject_to_ground((intr.cx + 0.85 * intr.fx, intr.cy), ex, intr)
+    with pytest.raises(HorizonRay):
+        unproject_to_ground((intr.cx + 0.87 * intr.fx, intr.cy), ex, intr)
+
+
+def _grid_reprojection_error(intr):
+    """Largest pixel distance between each pixel center and the projection
+    of its undistorted ray."""
+    xn, yn = _pixel_grid_normalized(intr)
+    ex = CameraExtrinsics(position=(0.0, 0.0, 1.0))
+    ray = np.column_stack([xn, yn, np.ones(xn.size)])
+    u, v, valid = _project_arrays(ray @ ex.rotation_world_from_camera().T + ex.position, ex, intr)
+    rows, cols = np.divmod(np.arange(xn.size), intr.width)
+    assert valid.all()
+    return np.hypot(u - cols, v - rows).max()
 
 
 def test_ground_round_trip_with_heavy_distortion():
-    intr = make_intr(k1=-0.3, k2=0.1)
-    ex = tilted_cam(height=0.7, pitch=0.8)
-    rng = np.random.default_rng(123)
-    checked = 0
-    for _ in range(1000):
-        p = (rng.uniform(0.5, 2.0), rng.uniform(-0.6, 0.6))
-        try:
-            u, v = project((p[0], p[1], 0.0), ex, intr)
-        except BehindCamera:
-            continue
-        if not (0 <= u < intr.width and 0 <= v < intr.height):
-            continue
-        gx, gy = unproject_to_ground((u, v), ex, intr)
-        assert math.hypot(gx - p[0], gy - p[1]) < 1e-6
-        checked += 1
-    assert checked > 400
+    # r f(r) of the second lens bends over and rises again; it reaches the
+    # image corner at r = 1.637, past the inflection of r f(r) at r = 1.04
+    for k1, k2, fx in [(-0.3, 0.1, 300.0), (-0.4746, 0.1310, 182.0)]:
+        intr = make_intr(k1=k1, k2=k2, fx=fx)
+        ex = tilted_cam(height=0.7, pitch=0.8)
+        rng = np.random.default_rng(123)
+        checked = 0
+        for _ in range(1000):
+            p = (rng.uniform(0.5, 2.0), rng.uniform(-0.6, 0.6))
+            try:
+                u, v = project((p[0], p[1], 0.0), ex, intr)
+            except BehindCamera:
+                continue
+            if not (0 <= u < intr.width and 0 <= v < intr.height):
+                continue
+            gx, gy = unproject_to_ground((u, v), ex, intr)
+            assert math.hypot(gx - p[0], gy - p[1]) < 1e-6
+            checked += 1
+        assert checked > 400
+        assert _grid_reprojection_error(intr) < 1e-6
 
 
 def test_distortion_monotonicity_enforced():
@@ -110,9 +133,52 @@ def test_distortion_monotonicity_enforced():
     with pytest.raises(InputError):
         CameraIntrinsics(fx=150.0, fy=150.0, cx=319.5, cy=239.5,
                          width=640, height=480, k1=-0.5, k2=0.0)
+    # r f(r) peaks at 0.583, below the corner's distorted radius of 0.624,
+    # so no ray reaches the corner: rejected
+    with pytest.raises(InputError):
+        make_intr(k1=-0.4815, k2=0.0578, fx=319.3)
     # same coefficients on a narrow-angle camera are fine
     CameraIntrinsics(fx=1500.0, fy=1500.0, cx=319.5, cy=239.5,
                      width=640, height=480, k1=-0.5, k2=0.0)
+
+
+def _smallest_positive_root(coeffs):
+    roots = np.roots(coeffs)
+    real = roots.real[(np.abs(roots.imag) < 1e-9) & (roots.real > 0.0)]
+    return real.min() if real.size else math.inf
+
+
+def test_lens_rule_and_inversion_on_random_lenses():
+    # a lens is accepted exactly when r f(r) = r + k1 r^3 + k2 r^5 rises
+    # through 1.001 times the corner's undistorted radius; both radii come
+    # from polynomial roots here, not from the lens code
+    rng = np.random.default_rng(2021)
+    w, h = 320, 240
+    # the first has a 117.16 deg FoV; on the second, Newton steps that stay
+    # in the bracket bounce between its ends unless slow steps bisect
+    lenses = [(-0.4746, 0.1310, 182.0),
+              (1.4471436418169707, -0.35580866017710333, 126.31424389701624)] + list(zip(
+        rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.5, 1.5, 40), rng.uniform(80.0, 600.0, 40)))
+    accepted = 0
+    for k1, k2, fx in lenses:
+        rd = math.hypot((w - 1) / 2 / fx, (h - 1) / 2 / fx)
+        corner = _smallest_positive_root([k2, 0.0, k1, 0.0, 1.0, -rd])
+        fold = _smallest_positive_root([5.0 * k2, 0.0, 3.0 * k1, 0.0, 1.0])
+        if not fold > 1.001 * corner:
+            with pytest.raises(InputError):
+                make_intr(k1=k1, k2=k2, fx=fx, w=w, h=h)
+            continue
+        intr = make_intr(k1=k1, k2=k2, fx=fx, w=w, h=h)
+        accepted += 1
+        assert _grid_reprojection_error(intr) < 1e-6
+        # fov_mask allows 1e-9 rad over the full FoV; the four corners sit on it
+        fov = 2.0 * math.atan(corner)
+        assert fov_mask(intr, fov + 5e-10).all()
+        assert np.flatnonzero(fov_mask(intr, fov - 1e-8) == 0).tolist() == [0, w - 1, w * h - w,
+                                                                          w * h - 1]
+        with pytest.raises(InputError):
+            fov_mask(intr, fov + 1e-8)
+    assert 10 <= accepted <= 37
 
 
 # --- birdview transform ------------------------------------------------------
@@ -250,15 +316,16 @@ def test_mask_full_fov_keeps_everything():
 
 
 def test_mask_100_degrees_on_wider_camera():
-    # rectilinear camera wider than 100 degrees: center kept, corners cut
+    # cameras wider than 100 degrees: center kept, corners cut; the first is
+    # rectilinear (diagonal half-angle ~63 deg), the second a barrel lens
+    # whose full FoV is 117.16 deg
     w, h = 320, 240
-    fx = 100.0  # diagonal half-angle ~63 deg
-    intr = CameraIntrinsics(fx=fx, fy=fx, cx=(w - 1) / 2, cy=(h - 1) / 2,
-                            width=w, height=h)
-    mask = fov_mask(intr, math.radians(100.0))
-    assert mask[h // 2, w // 2] == 255
-    assert mask[0, 0] == 0
-    assert 0 < int((mask > 0).sum()) < w * h
+    for k1, k2, fx in [(0.0, 0.0, 100.0), (-0.4746, 0.1310, 182.0)]:
+        intr = make_intr(k1=k1, k2=k2, fx=fx, w=w, h=h)
+        mask = fov_mask(intr, math.radians(100.0))
+        assert mask[h // 2, w // 2] == 255
+        assert mask[0, 0] == 0
+        assert 0 < int((mask > 0).sum()) < w * h
 
 
 def test_mask_zero_limit_keeps_center_only():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fieldkit.birdview import BirdviewSpec, CameraExtrinsics, CameraIntrinsics, project, unproject_to_ground
+from fieldkit.errors import InputError
 from fieldkit.field_model import FieldPose, FieldSpec
 from fieldkit.localization import RobotObservation, SensorModel, expected_observations
 from fieldkit.stereo_obstacles import StereoParams, StereoRig, block_match
@@ -169,6 +170,13 @@ def test_trajectory_deterministic():
     assert a == b
     c = generate_trajectory(scene, 10, (0.01, 0.01, 0.01), sm, seed=6)
     assert a != c
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_trajectory_rejects_fewer_than_one_step(steps):
+    # an InputError, so callers that catch FieldkitError see it
+    with pytest.raises(InputError, match="steps must be >= 1"):
+        generate_trajectory(Scene(), steps, (0.01, 0.01, 0.01), SensorModel(), seed=5)
 
 
 def test_trajectory_noise_statistics():
