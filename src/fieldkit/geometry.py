@@ -58,14 +58,27 @@ def points_segments_distance(points, starts, ends) -> np.ndarray:
     zero-length segment measures the distance to its start point.
     """
     p = np.asarray(points, dtype=float).reshape(-1, 2)
+    return segment_distance(p[:, :1], p[:, 1:], *segment_terms(starts, ends))
+
+
+def segment_terms(starts, ends) -> tuple:
+    """S closed segments [starts, ends] as the (S,) arrays ax, ay, dx, dy and
+    safe_len2 that segment_distance reads: start, end minus start, and the
+    squared length, 1 for a zero-length segment."""
     a = np.asarray(starts, dtype=float).reshape(-1, 2)
     b = np.asarray(ends, dtype=float).reshape(-1, 2)
-    px, py = p[:, :1], p[:, 1:]
     ax, ay = a[:, 0], a[:, 1]
     dx = b[:, 0] - ax
     dy = b[:, 1] - ay
     len2 = dx * dx + dy * dy
-    safe_len2 = np.where(len2 == 0.0, 1.0, len2)
+    return ax, ay, dx, dy, np.where(len2 == 0.0, 1.0, len2)
+
+
+def segment_distance(px, py, ax, ay, dx, dy, safe_len2) -> np.ndarray:
+    """Elementwise distance from points (px, py) to the segments of
+    segment_terms, on any shapes that broadcast: points_segments_distance's
+    arithmetic, so a caller that pairs points and segments itself, say on
+    flat contiguous arrays, gets the same bits for the same pair."""
     t = np.clip(((px - ax) * dx + (py - ay) * dy) / safe_len2, 0.0, 1.0)
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import Degenerate, InputError
 from .field_model import FieldPose, FieldSpec
-from .geometry import normalize_angle, normalize_angles, points_segments_distance
+from .geometry import (normalize_angle, normalize_angles, points_segments_distance,
+                       segment_distance, segment_terms)
 from .line_vision import LineSegment, detect_corners
 
 LINE = "line"
@@ -216,71 +217,120 @@ def expected_observations(pose: FieldPose, spec: FieldSpec,
 # --- measurement model -------------------------------------------------------
 #
 # The expected features depend on the particle poses only, so they are
-# computed once per update as (N particles, S features) arrays, and each
-# observation is then one broadcast against them with a min over features.
-# The arrays are built with the same elementwise operations, in the same
-# order, as the per-feature reference loops in
-# tests/test_localization_oracle.py, and update_and_resample multiplies the
-# per-observation likelihoods into the weights in observation order. Both
-# keep the weights bit-identical to that reference; reordering either one
-# changes the last bits of the weights and with them every seeded run.
+# computed once per update. The in-range test runs on every (particle,
+# feature) pair of a kind, and only the in-range pairs are gathered, laid
+# out level by level (_Pairs): level k holds the k-th in-range feature of
+# every particle that has more than k. Each observation then runs its
+# residual arithmetic on those flat pairs, and a per-particle minimum folds
+# the levels together; a particle with no pair gets inf. The arithmetic
+# uses the same elementwise operations, in the same order, as the
+# per-feature reference loops in tests/test_localization_oracle.py, the
+# minimum is exact, and update_and_resample multiplies the per-observation
+# likelihoods into the weights in observation order. So the weights stay
+# bit-identical to that reference; reordering the arithmetic or the
+# products changes their last bits and with them every seeded run. Every
+# ufunc over pairs runs on contiguous operands of one shape and dtype: the
+# in-range tests on each particle value repeated and each feature value
+# tiled, not broadcast, and the residuals on values gathered per pair.
 
 _RESIDUAL_DIMS = {LINE: 2, CORNER: 2, POINT: 1}
 
 
-def _to_robot_frame(points: np.ndarray, poses: np.ndarray, max_range: float):
-    """Field points (S, 2) seen from every pose: robot-frame x, y and the
-    in-range mask, each (N, S)."""
-    x, y, th = poses[:, :1], poses[:, 1:2], poses[:, 2]
-    cth, sth = np.cos(-th)[:, None], np.sin(-th)[:, None]
-    dx = points[:, 0] - x
-    dy = points[:, 1] - y
+class _Pairs:
+    """The in-range (particle, feature) pairs of an (N, S) mask, level by level.
+
+    order lists the particles by descending pair count, ties by index, so
+    level k's particles are order[:sizes[k]], and its pairs follow level
+    k - 1's. particle and feature give each pair's indices.
+    """
+
+    def __init__(self, in_range: np.ndarray):
+        particle, feature = np.nonzero(in_range)
+        counts = np.bincount(particle, minlength=len(in_range))
+        self.order = np.argsort(-counts, kind="stable")
+        sizes = (len(counts) - np.cumsum(np.bincount(counts)))[:-1]
+        self.sizes = sizes.tolist()
+        rank = np.arange(len(particle)) - (np.cumsum(counts) - counts)[particle]
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(len(self.order))
+        slot = np.concatenate(([0], np.cumsum(sizes)))[rank] + position[particle]
+        self.particle, self.feature = np.empty_like(particle), np.empty_like(feature)
+        self.particle[slot] = particle
+        self.feature[slot] = feature
+
+    def minimum(self, values: np.ndarray) -> np.ndarray:
+        """Per-particle minimum of one value per pair; inf without a pair."""
+        out = np.full(len(self.order), np.inf)
+        if not self.sizes:
+            return out
+        best = values[:self.sizes[0]].copy()
+        start = self.sizes[0]
+        for size in self.sizes[1:]:
+            np.minimum(best[:size], values[start:start + size], out=best[:size])
+            start += size
+        out[self.order[:self.sizes[0]]] = best
+        return out
+
+
+def _to_robot_frame(points: np.ndarray, x, y, th, max_range: float):
+    """Field points (S, 2) seen from every pose (x, y, th): the in-range
+    pairs and their robot-frame x and y."""
+    n, s = len(x), len(points)
+    cth, sth = (np.repeat(f(-th), s) for f in (np.cos, np.sin))
+    dx = np.tile(points[:, 0], n) - np.repeat(x, s)
+    dy = np.tile(points[:, 1], n) - np.repeat(y, s)
     rel_x = cth * dx - sth * dy
     rel_y = sth * dx + cth * dy
-    return rel_x, rel_y, np.hypot(rel_x, rel_y) <= max_range
+    pairs = _Pairs((np.hypot(rel_x, rel_y) <= max_range).reshape(n, s))
+    index = pairs.particle * s + pairs.feature
+    return pairs, rel_x[index], rel_y[index]
 
 
 def _expected_features(poses: np.ndarray, spec: FieldSpec, max_range: float) -> dict:
-    """Pose-only expected features of each kind, (N, S) arrays.
+    """Pose-only expected features of each kind on its in-range pairs.
 
-    Lines: signed distance and direction in [0, pi) in the robot frame,
-    plus the in-range mask. Corners: robot-frame position, in-range mask
-    and field bisector minus heading. Points: robot-frame position and
-    in-range mask.
+    Lines: the pairs, signed distance and direction in [0, pi) in the robot
+    frame. Corners: the pairs, robot-frame position and field bisector
+    minus heading. Points: the pairs and robot-frame position.
     """
     (starts, ends, phi, normals, offsets), (cpos, corient), posts = _layout_features(spec)
-    x, y, th = poses[:, :1], poses[:, 1:2], poses[:, 2:]
-    d_exp = offsets - (normals[:, 0] * x + normals[:, 1] * y)
-    raw = phi - th
+    x, y, th = (np.ascontiguousarray(v) for v in poses.T)
+    n, s = len(x), len(starts)
+    terms = np.tile(np.array(segment_terms(starts, ends)), n)
+    dist = segment_distance(np.repeat(x, s), np.repeat(y, s), *terms)
+    lines = _Pairs((dist <= max_range).reshape(n, s))
+    at, of = lines.particle, lines.feature
+    d_exp = offsets[of] - (normals[of, 0] * x[at] + normals[of, 1] * y[at])
+    raw = phi[of] - th[at]
     phi_exp = np.mod(raw, math.pi)
     phi_exp = np.where(phi_exp >= math.pi, phi_exp - math.pi, phi_exp)
     # folding the direction by pi flips the normal and the signed distance
     wraps = np.rint((raw - phi_exp) / math.pi)
     d_exp = np.where(wraps % 2 != 0, -d_exp, d_exp)
-    in_range = points_segments_distance(poses[:, :2], starts, ends) <= max_range
-    return {LINE: (d_exp, phi_exp, in_range),
-            CORNER: (*_to_robot_frame(cpos, poses, max_range), corient - th),
-            POINT: _to_robot_frame(posts, poses, max_range)}
+    corners = _to_robot_frame(cpos, x, y, th, max_range)
+    return {LINE: (lines, d_exp, phi_exp),
+            CORNER: (*corners, corient[corners[0].feature] - th[corners[0].particle]),
+            POINT: _to_robot_frame(posts, x, y, th, max_range)}
 
 
 def _residuals_sq(obs: RobotObservation, expected: dict, sm: SensorModel) -> np.ndarray:
     """Min squared normalized residual of one observation per particle, over
     the in-range features of its kind (inf when none is in range)."""
     if obs.kind == LINE:
-        d_exp, phi_exp, in_range = expected[LINE]
+        pairs, d_exp, phi_exp = expected[LINE]
         dphi = np.abs(phi_exp - obs.direction)
         flip = dphi > math.pi / 2
         ddist = np.where(flip, d_exp + obs.distance, d_exp - obs.distance)
         dphi = np.where(flip, math.pi - dphi, dphi)
         r2 = (ddist / sm.sigma_d) ** 2 + (dphi / sm.sigma_theta) ** 2
     else:
-        rel_x, rel_y, in_range = expected[obs.kind][:3]
+        pairs, rel_x, rel_y = expected[obs.kind][:3]
         dp2 = (rel_x - obs.position[0]) ** 2 + (rel_y - obs.position[1]) ** 2
         r2 = dp2 / sm.sigma_p ** 2
         if obs.kind == CORNER:
             dth = np.abs(normalize_angles(expected[CORNER][3] - obs.orientation))
             r2 = r2 + (dth / sm.sigma_theta) ** 2
-    return np.min(np.where(in_range, r2, np.inf), axis=1, initial=np.inf)
+    return pairs.minimum(r2)
 
 
 def _observation_likelihoods(observations, poses: np.ndarray, spec: FieldSpec,

@@ -5,8 +5,9 @@ consistency check, reprojection of the disparity map to a camera-frame
 point cloud, voxel binning for noise rejection, a RANSAC ground-plane fit,
 and single-linkage clustering of the points protruding above the plane.
 Each stage reads its settings from a StereoParams, checked when it is built.
-Block matching runs only on the rows of the params.step grid, the rows the
-reprojection samples, and RANSAC scores its hypotheses in blocks.
+Block matching sums its windows only down the rows of the params.step grid,
+the rows the reprojection samples, in int16 while the sums fit, and RANSAC
+scores its hypotheses in blocks.
 """
 
 from __future__ import annotations
@@ -136,6 +137,12 @@ def _key_dtype(window: int, shift: int):
     return np.int32 if (255 * window * window + 1) << shift < 2**31 else np.int64
 
 
+def _sum_dtype(window: int, key_dtype):
+    """int16 while every window sum, at most 255 window^2, fits it (window
+    <= 11), else the key dtype."""
+    return np.int16 if 255 * window * window < 2**15 else key_dtype
+
+
 def block_match(left: Raster, right: Raster, params: StereoParams) -> np.ndarray:
     """Integer disparity map minimizing windowed SAD, on the params.step grid.
 
@@ -148,15 +155,19 @@ def block_match(left: Raster, right: Raster, params: StereoParams) -> np.ndarray
     sums, so a matched row equals the row of a full match.
 
     Memory is O(H W), with no cost volume and the keys held on the grid rows
-    only: one pass over the min(max_disparity + 1, W - window + 1)
-    disparities sums each pixel's SAD down its window on every row, then
-    across the window on the grid rows, and packs each SAD c into the key
-    (c << shift) | d, so an elementwise minimum keeps the smallest cost and,
-    among equal costs, the smallest d. Running minima of the keys give the
-    left best, the right best (SAD_r(u, d) = SAD_l(u + d, d)) and, for the
-    uniqueness test, the four smallest keys per pixel: at most two of the
-    last three are the winner's neighbours, so they hold the best key
-    outside +/-1 of it.
+    only. One pass over the min(max_disparity + 1, W - window + 1)
+    disparities sums each grid pixel's SAD down its window, then across it,
+    and packs each SAD c into the key (c << shift) | d, so an elementwise
+    minimum keeps the smallest cost and, among equal costs, the smallest d.
+    The sums down run only over the grid rows' windows: split into planes
+    of every step-th row, a window is window // step blocks of one row from
+    each plane plus window % step single rows. |l - r| and its sums stay
+    int16 while 255 window^2 fits (_sum_dtype); integer sums are exact in
+    any order. Running minima of the keys give the left best, the right
+    best (SAD_r(u, d) = SAD_l(u + d, d)) and, for the uniqueness test, the
+    four smallest keys per pixel: at most two of the last three are the
+    winner's neighbours, so they hold the best key outside +/-1 of it.
+    Every large ufunc runs on contiguous 1-D operands of one shape and dtype.
     """
     if left.luma.shape != right.luma.shape:
         raise DimensionMismatch("stereo pair shapes differ")
@@ -172,31 +183,45 @@ def block_match(left: Raster, right: Raster, params: StereoParams) -> np.ndarray
     shift = (n_layers - 1).bit_length()
     mask = (1 << shift) - 1
     dtype = _key_dtype(window, shift)
+    sum_dtype = _sum_dtype(window, dtype)
     # no window inside the image; its low bits are all ones, so | d keeps it
     none = np.iinfo(dtype).max
-    # shifted, so |l - r| and its sums come out as c << shift
-    l = left.luma.astype(dtype).ravel() << shift
-    r = right.luma.astype(dtype).ravel() << shift
 
     # state covers the grid rows, state row t centred on image row first + t step
     n_rows = (h - 1 - half - first) // step + 1
+    # plane j holds image rows top + j, top + j + step, ..., so grid row t's
+    # window is plane rows t .. t + blocks - 1 of every plane, then plane
+    # row t + blocks of the first `extra` planes; the planes lie end to end
+    blocks, extra = divmod(window, step)
+    top = first - half
+    lengths = [n_rows + blocks - (j >= extra) for j in range(step if blocks else extra)]
+    l, r = (np.concatenate([img.luma[top + j::step][:n] for j, n in enumerate(lengths)])
+            .astype(sum_dtype).ravel() for img in (left, right))
+    diff = np.empty_like(l)
+    starts = np.cumsum([0] + lengths[:-1]) * w
+    heads = [diff[s:s + (n_rows + blocks - 1) * w] for s in starts] if blocks else []
+    tails = [diff[s + blocks * w:s + (blocks + n_rows) * w] for s in starts[:extra]]
+
     key = np.full((n_rows, w), none, dtype=dtype)
     flat = key.ravel()
     best = np.full((4 if n_d > 3 else 1, flat.size), none, dtype=dtype)
     right_best = np.full(flat.size, none, dtype=dtype)
     scratch = np.empty_like(flat)
-    diff = np.empty_like(l)
     for d in range(n_layers):
         # diff[i] pairs left pixel i with right pixel i - d; columns below d
-        # pair with the row above, diff[:d] keeps an earlier layer's values,
+        # pair with the row before, diff[:d] keeps an earlier layer's values,
         # and the windows that read either are set to none below
         part = diff[d:]
         np.abs(np.subtract(l[d:], r[:l.size - d], out=part), out=part)
-        # column sums down every window, then across those of the grid rows
-        columns = _run_sum(diff, window, w).reshape(-1, w)[first - half::step]
-        sums = _run_sum(columns.ravel(), window, 1)
+        # sums down the grid rows' windows, then across them
+        columns = _run_sum(sum(heads[1:], heads[0]), blocks, w) if blocks else None
+        for tail in tails:
+            columns = tail if columns is None else columns + tail
+        sums = _run_sum(columns, window, 1)
         # the window whose top-left is pixel j centres on key[j + half]
-        flat[half:half + sums.size] = sums
+        packed = flat[half:half + sums.size]
+        packed[...] = sums
+        np.left_shift(packed, shift, out=packed)
         key[:, :d + half] = none  # its window leaves the right image
         key[:, w - half:] = none  # its window leaves both images
         flat |= d
@@ -206,21 +231,23 @@ def block_match(left: Raster, right: Raster, params: StereoParams) -> np.ndarray
         # right pixel j sees left pixel j + d; a wrap into the next row lands on none
         np.minimum(right_best[:flat.size - d], flat[d:], out=right_best[:flat.size - d])
 
-    best = best.reshape(len(best), n_rows, w)
-    valid_l = best[0] != none
-    disp_l = best[0] & mask
+    valid = best[0] != none
+    disp = best[0] & mask
     if len(best) > 1:
-        near = np.abs((best[1:3] & mask) - disp_l) <= 1
+        near = [np.abs((best[i] & mask) - disp) <= 1 for i in (1, 2)]
         second = np.where(near[0], np.where(near[1], best[3], best[2]), best[1])
-        ambiguous = (best[0] >> shift) * (1.0 + UNIQUENESS_MARGIN) > (second >> shift)
-        valid_l &= (second == none) | ~ambiguous
+        cost = (best[0] >> shift).astype(float)
+        ambiguous = cost * (1.0 + UNIQUENESS_MARGIN) > (second >> shift).astype(float)
+        valid &= (second == none) | ~ambiguous
 
-    rows = np.arange(n_rows)[:, None]
-    ur = np.arange(w) - disp_l
-    ur_ok = valid_l & (ur >= 0)
-    matched = right_best.reshape(n_rows, w)[rows, np.where(ur_ok, ur, 0)]
-    consistent = ur_ok & (matched != none) & (np.abs(disp_l - (matched & mask)) <= 1)
-    disparity[first:h - half:step] = np.where(consistent, disp_l, -1)
+    # left pixel i of column u sees right pixel i - disp, in its row when u >= disp
+    valid &= np.tile(np.arange(w, dtype=dtype), n_rows) >= disp
+    source = np.arange(flat.size, dtype=np.intp) - disp.astype(np.intp)
+    matched = right_best[np.maximum(source, 0, out=source)]
+    valid &= matched != none
+    valid &= np.abs(disp - (matched & mask)) <= 1
+    disp[~valid] = -1
+    disparity[first:h - half:step] = disp.reshape(n_rows, w)
     return disparity
 
 

@@ -1,6 +1,11 @@
 """Shared test fixtures: independent oracles used by several modules."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,3 +84,47 @@ def _kick_edges(i, kick_lengths, spec):
 @pytest.fixture(scope="session")
 def kick_edges():
     return _kick_edges
+
+
+TOGGLED_TRACEMALLOC = """
+import threading, time, tracemalloc
+{setup}
+done = threading.Event()
+def toggle():
+    while not done.is_set():
+        tracemalloc.start()
+        tracemalloc.stop()
+thread = threading.Thread(target=toggle)
+thread.start()
+start = time.perf_counter()
+try:
+    while time.perf_counter() - start < {seconds}:
+{body}
+finally:
+    done.set()
+    thread.join()
+"""
+
+
+def _run_beside_tracemalloc_toggle(setup: str, body: str, seconds: float = 5.0):
+    """Run `setup`, then `body` in a loop for `seconds`, in a fresh
+    interpreter while a second thread starts and stops tracemalloc without
+    pause; return the CompletedProcess.
+
+    On Python 3.11 an allocation that numpy's iterator makes with the GIL
+    released can race tracemalloc.stop() in another thread and crash the
+    process, so a kernel whose large ufuncs run on broadcast, cast or
+    strided operands can exit with SIGSEGV here.
+    """
+    script = TOGGLED_TRACEMALLOC.format(setup=textwrap.dedent(setup), seconds=seconds,
+                                        body=textwrap.indent(textwrap.dedent(body), " " * 8))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="session")
+def run_beside_tracemalloc_toggle():
+    return _run_beside_tracemalloc_toggle

@@ -2,7 +2,7 @@
 each alone, on the benchmark's seeded frames and scenes, and print their
 medians.
 
-    PYTHONPATH=src python3 tests/stage_times.py [--repeats N]
+    PYTHONPATH=src python3 tests/stage_times.py [--repeats N] [--beside]
 
 For seeds 1 and 2 it builds the inputs of perfbench's head_scan,
 match_frames and set_pieces workloads through perfbench/workloads.py
@@ -31,6 +31,11 @@ over all frames and repeats, and the last line per workload the median
 number of distinct poses the mode saw. The planner's line gives the median
 and p90 over all scenes and repeats, and the median expanded_nodes.
 
+With --beside it times only block_match and update_and_resample, as above,
+while a second thread runs detect_lines without pause on the birdviews of
+the same workload's camera frames, as the frame loop's pool overlaps them.
+Times alone miss most of what the two cost in a frame.
+
 BLAS is pinned to one thread before numpy loads, as perfbench/run.py pins
 it: the birdview projects its points with an (N, 3) @ (3, 3) product and
 ransac_plane scores its hypotheses with an (N, 3) @ (3, B) one, which a
@@ -50,6 +55,7 @@ import argparse  # noqa: E402
 import collections  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import threading  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -152,6 +158,45 @@ def stage_times(name: str, seed: int, repeats: int) -> dict:
     return times
 
 
+def beside_lines(name: str, seed: int, repeats: int) -> dict:
+    """Every sample, in ms, of block_match on one workload's stereo pairs and
+    of update_and_resample on its frames, while another thread runs
+    detect_lines on the birdviews of its camera frames."""
+    wl = workloads.build(name)
+    inputs, jobs = wl.make_inputs(seed)
+    birds, pairs = [], []
+    for job in jobs:
+        j, rendered = wl.render(job)
+        if job[0] == "stereo":
+            pairs.append(rendered)
+            continue
+        frame = inputs["frames"][j]
+        camera, spec = workloads._head_camera(frame["pan"] + wl.drift(j), frame["tilt"])
+        birds.append(birdview.birdview_transform(rendered["image"], camera,
+                                                 workloads.HEAD_INTRINSICS, spec))
+    done = threading.Event()
+
+    def lines():
+        while not done.is_set():
+            for bird in birds:
+                line_vision.detect_lines(bird, workloads.LINE_WIDTH_PX, workloads.VISION)
+
+    thread = threading.Thread(target=lines)
+    thread.start()
+    try:
+        times = {"block_match": []}
+        for rendered in pairs:
+            for _ in range(repeats):
+                _, ms = _timed(stereo_obstacles.block_match, rendered["left"],
+                               rendered["right"], workloads.STEREO_PARAMS)
+                times["block_match"].append(ms)
+        times["update_and_resample"] = mcl_times(name, seed, repeats)[0]["update_and_resample"]
+    finally:
+        done.set()
+        thread.join()
+    return times
+
+
 def mcl_times(name: str, seed: int, repeats: int) -> tuple[dict, list]:
     """Every sample, in ms, of each filter step on one workload's frames,
     and the number of distinct poses in each set the mode saw."""
@@ -216,7 +261,17 @@ def plan_times(seed: int, repeats: int) -> tuple[list, list]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--beside", action="store_true",
+                    help="time block_match and update_and_resample beside detect_lines")
     args = ap.parse_args(argv)
+    if args.beside:
+        for name in ("head_scan", "match_frames"):
+            for seed in (1, 2):
+                for stage, samples in beside_lines(name, seed, args.repeats).items():
+                    if samples:
+                        print(f"{name} seed {seed} {stage} beside lines: "
+                              f"{statistics.median(samples):.2f} ms median of {len(samples)}")
+        return 0
     # the planner runs first: right after the stereo stages its first ~1,500
     # queries took 1.5x as long as in a fresh process
     for seed in (1, 2):

@@ -4,7 +4,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from fieldkit.geometry import connected_components, normalize_angles, points_segments_distance
+from fieldkit.geometry import (connected_components, normalize_angles, points_segments_distance,
+                               segment_distance, segment_terms)
 
 
 def test_shape_is_points_by_segments():
@@ -29,7 +30,8 @@ def test_interior_endpoint_and_zero_length_cases():
 
 def test_batched_and_single_pair_calls_agree_bit_for_bit():
     # the planner's vectorized edge flags and its scalar cost function rely
-    # on this: each (point, segment) pair gets the same bits in any batch
+    # on this: each (point, segment) pair gets the same bits in any batch,
+    # and localization's in-range test on flat repeated and tiled pairs
     rng = np.random.default_rng(3)
     pts = rng.uniform(-5, 5, (30, 2))
     starts = rng.uniform(-5, 5, (20, 2))
@@ -38,6 +40,9 @@ def test_batched_and_single_pair_calls_agree_bit_for_bit():
     for i in range(len(pts)):
         for j in range(len(starts)):
             assert points_segments_distance(pts[i], starts[j], ends[j])[0, 0] == batch[i, j]
+    flat = segment_distance(np.repeat(pts[:, 0], 20), np.repeat(pts[:, 1], 20),
+                            *np.tile(np.array(segment_terms(starts, ends)), 30))
+    assert np.array_equal(flat.reshape(30, 20), batch)
 
 
 def _components_by_search(n, pairs):

@@ -318,3 +318,21 @@ def test_filter_tracks_from_good_prior(spec):
     gt = traj["steps"][-1]["ground_truth"]
     assert math.hypot(est.x - gt[0], est.y - gt[1]) < 0.2
     assert abs((est.theta - gt[2] + math.pi) % (2 * math.pi) - math.pi) < 0.2
+
+
+def test_update_survives_tracemalloc_stopped_from_another_thread(run_beside_tracemalloc_toggle):
+    # the (N, 1) pose columns broadcast against the features crashed here in
+    # 1 of 6 8 s runs
+    proc = run_beside_tracemalloc_toggle("""
+        import numpy as np
+        from fieldkit.field_model import FieldPose, FieldSpec
+        from fieldkit.localization import (ParticleSet, SensorModel,
+                                           expected_observations, update_and_resample)
+        spec, sensor = FieldSpec(), SensorModel()
+        rng = np.random.default_rng(0)
+        particles = ParticleSet.uniform(spec, 500, rng)
+        observations = expected_observations(FieldPose(-1.0, 0.5, 0.4), spec, 4.0)
+    """, """
+        update_and_resample(particles, observations, spec, sensor, rng)
+    """)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -180,17 +180,12 @@ def seeded_case(n, max_range, seed):
     return ParticleSet(poses, weights / weights.sum()), observations, sm
 
 
-@pytest.mark.parametrize("n, max_range, expected_obs", [(500, 4.0, 15), (2000, 8.0, 40)])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_weights_bit_identical_to_per_feature_loops(n, max_range, expected_obs, seed):
-    particles, observations, sm = seeded_case(n, max_range, seed)
-    assert len(observations) >= expected_obs
-    assert {o.kind for o in observations} == {LINE, CORNER, POINT}
+def assert_weights_match_oracle(particles, observations, sm, seed=0):
+    """The weight products, and the update after them, equal the per-feature
+    loops' bit for bit; returns the products."""
     raw = particles.weights.copy()
     for obs in observations:
         raw = raw * _likelihoods(obs, particles.poses, SPEC, sm)
-    # the near half carries real likelihood, so the comparison is not all floor
-    assert len(np.unique(raw)) > n // 4
     # the weight products themselves, before normalizing and resampling
     new_raw = particles.weights.copy()
     for lik in _observation_likelihoods(observations, particles.poses, SPEC, sm):
@@ -202,11 +197,52 @@ def test_weights_bit_identical_to_per_feature_loops(n, max_range, expected_obs, 
                               np.random.default_rng(seed))
     assert np.array_equal(new.poses, old.poses)
     assert np.array_equal(new.weights, old.weights)
+    return raw
+
+
+@pytest.mark.parametrize("n, max_range, expected_obs", [(500, 4.0, 15), (2000, 8.0, 40)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weights_bit_identical_to_per_feature_loops(n, max_range, expected_obs, seed):
+    particles, observations, sm = seeded_case(n, max_range, seed)
+    assert len(observations) >= expected_obs
+    assert {o.kind for o in observations} == {LINE, CORNER, POINT}
+    raw = assert_weights_match_oracle(particles, observations, sm, seed)
+    # the near half carries real likelihood, so the comparison is not all floor
+    assert len(np.unique(raw)) > n // 4
+
+
+def first_residuals(particles, observations, sm):
+    """The oracle's residuals of the first observation of each kind."""
+    first = {o.kind: o for o in reversed(observations)}
+    return {kind: _RESIDUALS[kind](obs, particles.poses, SPEC, sm) for kind, obs in first.items()}
+
+
+@pytest.mark.parametrize("case", ["range-1m", "range-1cm", "off-field"])
+def test_weights_bit_identical_with_features_out_of_range(case):
+    # the observations of the seeded case, scored where some particles, or
+    # all of them, have no in-range feature of a kind
+    particles, observations, sm = seeded_case(500, 4.0, 0)
+    if case == "off-field":
+        particles = ParticleSet(particles.poses + (100.0, 0.0, 0.0), particles.weights)
+    else:
+        sm = SensorModel(max_range={"range-1m": 1.0, "range-1cm": 0.01}[case])
+    residuals = first_residuals(particles, observations, sm)
+    if case == "range-1m":
+        for r2 in residuals.values():
+            assert np.isinf(r2).any() and np.isfinite(r2).any()
+    else:
+        assert np.isinf(residuals[CORNER]).all()
+    assert_weights_match_oracle(particles, observations, sm)
 
 
 def test_single_pose_likelihood_matches_oracle():
     particles, observations, sm = seeded_case(40, 4.0, 3)
-    for pose in particles.poses:
+    # then a pose off the field, which sees no feature, and ranges of 0 and inf
+    cases = [(pose, sm) for pose in particles.poses]
+    cases += [(np.array([100.0, 0.0, 0.0]), sm),
+              (particles.poses[0], SensorModel(max_range=0.0)),
+              (particles.poses[0], SensorModel(max_range=math.inf))]
+    for pose, sm in cases:
         fp = FieldPose(*pose)
         for obs in observations:
             want = float(_likelihoods(obs, pose.reshape(1, 3), SPEC, sm)[0])

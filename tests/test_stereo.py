@@ -367,3 +367,22 @@ def test_stereo_no_ground_degenerate():
     left, right = render_stereo(scene, rig, ex)
     with pytest.raises(DegenerateCloud):
         detect_obstacles(left, right, rig, StereoParams())
+
+
+def test_block_match_survives_tracemalloc_stopped_from_another_thread(
+        run_beside_tracemalloc_toggle):
+    # the disparity check once broadcast a column index against the map and
+    # cast it, and crashed here in 2 of 11 8 s runs; window 13 takes the
+    # int32 sums
+    proc = run_beside_tracemalloc_toggle("""
+        import numpy as np
+        from fieldkit.raster import Raster
+        from fieldkit.stereo_obstacles import StereoParams, block_match
+        base = np.random.default_rng(0).integers(0, 256, (240, 340), dtype=np.uint8)
+        left, right = Raster.from_gray(base[:, :320]), Raster.from_gray(base[:, 20:])
+        cases = [StereoParams(window=w, max_disparity=64, step=2) for w in (9, 13)]
+    """, """
+        for params in cases:
+            block_match(left, right, params)
+    """)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -179,9 +179,11 @@ def ransac_plane(pc: PointCloud, params: StereoParams) -> GroundPlane:
 
 # --- fixtures ------------------------------------------------------------------
 
-WINDOWS = (1, 3, 9, 15)
+WINDOWS = (1, 3, 9, 11, 13, 15)  # 11 is the widest with int16 sums
 MAX_DISPARITIES = (0, 2, 3, 64, 80)  # 80 is at least every raster's width below
-STEPS = (1, 2, 3)
+# a window spans window // step whole step-row blocks plus window % step
+# rows, and none of the first when the step is wider than the window
+STEPS = (1, 2, 3, 4, 7)
 UNIQUENESS = (0.0, 0.15)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -231,6 +233,9 @@ PAIRS = {
     "smaller-than-window-7x9": lambda: _random_pair(4, 7, 9),
     "narrow-24x12": lambda: _random_pair(5, 24, 12),
     "flat": lambda: (Raster.from_gray(np.full((20, 30), 128, np.uint8)),) * 2,
+    # every SAD is 255 window^2, the largest any window can hold
+    "white-black": lambda: tuple(Raster.from_gray(np.full((16, 40), v, np.uint8))
+                                 for v in (255, 0)),
     "stripes-period2": lambda: _stripe_pair(2, 1),
     "stripes-period3": lambda: _stripe_pair(3, 1),
 }
@@ -315,6 +320,13 @@ def test_key_dtype_is_int32_while_keys_fit():
     assert stereo_obstacles._key_dtype(2901, 1) is np.int64
 
 
+def test_sum_dtype_is_int16_while_window_sums_fit():
+    assert stereo_obstacles._sum_dtype(11, np.int32) is np.int16  # 255 * 121 = 30855 < 2^15
+    assert stereo_obstacles._sum_dtype(13, np.int32) is np.int32  # 255 * 169 = 43095
+    assert stereo_obstacles._sum_dtype(13, np.int64) is np.int64
+    assert stereo_obstacles._sum_dtype(1, np.int64) is np.int16
+
+
 @pytest.mark.parametrize("pair", ("boxes-seed2-noise", "narrow-24x12", "stripes-period3"))
 def test_int64_keys_match_oracle(pair, monkeypatch):
     # int64 keys need a window or a width far beyond what the volume oracle
@@ -358,7 +370,7 @@ def stereo_case(draw):
     shift = draw(st.integers(0, 6))
     left = Raster.from_gray(base[:, :w])
     right = Raster.from_gray(base[:, shift:shift + w])
-    window = draw(st.sampled_from((1, 3, 5, 9, 15)))
+    window = draw(st.sampled_from((1, 3, 5, 9, 11, 13, 15)))
     max_disparity = draw(st.integers(0, 30))
     uniqueness = draw(st.sampled_from((0.0, 0.15, 0.5)))
     # step 1 reads the whole map; the drawn step adds a grid beside it
