@@ -53,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import collections  # noqa: E402
+import concurrent.futures  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import threading  # noqa: E402
@@ -181,19 +182,21 @@ def beside_lines(name: str, seed: int, repeats: int) -> dict:
             for bird in birds:
                 line_vision.detect_lines(bird, workloads.LINE_WIDTH_PX, workloads.VISION)
 
-    thread = threading.Thread(target=lines)
-    thread.start()
-    try:
-        times = {"block_match": []}
-        for rendered in pairs:
-            for _ in range(repeats):
-                _, ms = _timed(stereo_obstacles.block_match, rendered["left"],
-                               rendered["right"], workloads.STEREO_PARAMS)
-                times["block_match"].append(ms)
-        times["update_and_resample"] = mcl_times(name, seed, repeats)[0]["update_and_resample"]
-    finally:
-        done.set()
-        thread.join()
+    # result() re-raises a detect_lines failure, which would otherwise leave
+    # the stages timed alone without a word
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        running = pool.submit(lines)
+        try:
+            times = {"block_match": []}
+            for rendered in pairs:
+                for _ in range(repeats):
+                    _, ms = _timed(stereo_obstacles.block_match, rendered["left"],
+                                   rendered["right"], workloads.STEREO_PARAMS)
+                    times["block_match"].append(ms)
+            times["update_and_resample"] = mcl_times(name, seed, repeats)[0]["update_and_resample"]
+        finally:
+            done.set()
+        running.result()
     return times
 
 
