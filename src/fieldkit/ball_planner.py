@@ -112,16 +112,6 @@ def compute_cost(ctx: PlanContext, from_pos: Point, to_pos: Point, first_kick: b
     return reach + travel
 
 
-def heuristic(ctx: PlanContext, to_pos: Point, first_kick: bool) -> float:
-    """Remaining time estimate: ball to goal, plus teammate approach on the first kick."""
-    dx = ctx.goal_center[0] - to_pos[0]
-    dy = ctx.goal_center[1] - to_pos[1]
-    goal_time = math.sqrt(dx * dx + dy * dy) / ctx.ball_speed
-    if first_kick and ctx.teammates:
-        goal_time += min(time_to_approach_ball(to_pos, tm, ctx) for tm in ctx.teammates)
-    return goal_time
-
-
 @lru_cache(maxsize=8)
 def _travel_times(spec: FieldSpec, kicks: tuple[float, ...], ball_speed: float):
     """CSR adjacency over all cells: (indptr, targets, ball travel times).
@@ -166,6 +156,16 @@ def _approach_times(points: np.ndarray, robot: FieldPose, ctx: PlanContext) -> n
     return t
 
 
+def heuristic(ctx: PlanContext, points: np.ndarray, first_kick: bool) -> np.ndarray:
+    """Remaining time estimate at (N, 2) ball positions: ball travel to the
+    goal center, plus the best teammate's approach on the first kick."""
+    h = np.hypot(points[:, 0] - ctx.goal_center[0],
+                 points[:, 1] - ctx.goal_center[1]) / ctx.ball_speed
+    if first_kick and ctx.teammates:
+        h = h + np.min([_approach_times(points, tm, ctx) for tm in ctx.teammates], axis=0)
+    return h
+
+
 def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
                    zero_heuristic: bool = False) -> BallPlan:
     """A* over the kick graph from the ball cell to the goal cell.
@@ -194,11 +194,7 @@ def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
     xs = spec.col_centers()
     ys = spec.row_centers()
     centers = np.column_stack([xs[np.arange(n) % n_cols], ys[np.arange(n) // n_cols]])
-    if zero_heuristic:
-        h_goal = np.zeros(n)
-    else:
-        h_goal = np.hypot(centers[:, 0] - ctx.goal_center[0],
-                          centers[:, 1] - ctx.goal_center[1]) / ctx.ball_speed
+    h_goal = np.zeros(n) if zero_heuristic else heuristic(ctx, centers, False)
 
     # g of every open node, -inf once closed, so no improvement test passes
     # for a closed node; f = g + h of every open node, inf for the others
@@ -236,11 +232,9 @@ def plan_ball_path(ctx: PlanContext, spec: FieldSpec, *,
                                            ctx.opponent_radius)
                 costs[blocked] = costs[blocked] * 2
             costs = reach + costs
-            if not zero_heuristic and ctx.teammates:
-                tm_all = np.stack([_approach_times(centers[vs], tm, ctx)
-                                   for tm in ctx.teammates])
+            if not zero_heuristic:
                 hv = h_goal.copy()
-                hv[vs] += tm_all.min(axis=0)
+                hv[vs] = heuristic(ctx, centers[vs], True)
         else:
             costs = travel[lo:hi]
         gn = gu + costs

@@ -106,6 +106,8 @@ class FieldSpec:
         hl, hw = self.length / 2.0, self.width / 2.0
         eps = 1e-9
         for seg in self.line_segments:
+            if seg[0] == seg[1]:
+                raise InputError(f"line segment {seg} has zero length")
             for px, py in seg:
                 if abs(px) > hl + eps or abs(py) > hw + eps:
                     raise InputError(f"line segment endpoint {(px, py)} outside border")

@@ -5,7 +5,9 @@ perpendicular distance, direction mod pi), corners as (position,
 orientation of the corner bisector), and point features (goal-post-like)
 as bare positions. Lines carry orientation information, corners carry
 both orientation and position, which is what makes a corner the most
-informative of the three.
+informative of the three. One robot-frame feature model, _expected_features,
+scores particles in update_and_resample and, read at one pose by
+expected_observations, gives synth its observations.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 
 from .errors import Degenerate, InputError
 from .field_model import FieldPose, FieldSpec
-from .geometry import (normalize_angle, normalize_angles, points_segments_distance,
-                       segment_distance, segment_terms)
+from .geometry import normalize_angle, normalize_angles, segment_distance, segment_terms
 from .line_vision import LineSegment, detect_corners
 
 LINE = "line"
@@ -76,30 +77,35 @@ class RobotObservation:
             kind = d["kind"]
             if kind == LINE:
                 return line_observation(float(d["distance"]), float(d["direction"]))
+            if kind not in (CORNER, POINT):
+                raise InputError(f"unknown observation kind {kind!r}")
             x, y = d["position"]
             if kind == CORNER:
                 return corner_observation((x, y), float(d["orientation"]))
-            if kind == POINT:
-                return point_observation((x, y))
-            return cls(kind=kind, position=(x, y))  # __post_init__ rejects an unknown kind
+            return point_observation((x, y))
         except KeyError as exc:
             raise InputError(f"observation missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed observation {d!r}: {exc}") from exc
 
 
+def _fold_lines(distance, direction):
+    """Elementwise (signed distance, direction) with the direction folded into
+    [0, pi): each fold by pi flips the normal (-sin d, cos d), hence the sign."""
+    folded = np.mod(direction, math.pi)
+    # fp edge: a direction a hair under a multiple of pi folds to pi
+    folded = np.where(folded >= math.pi, folded - math.pi, folded)
+    wraps = np.rint((direction - folded) / math.pi)
+    return np.where(wraps % 2 != 0, -distance, distance), folded
+
+
 def line_observation(distance: float, direction: float) -> RobotObservation:
-    """Canonical line observation: direction folded into [0, pi), distance
-    sign fixed by the normal (-sin d, cos d)."""
+    """Canonical line observation: direction folded into [0, pi) by
+    _fold_lines, distance sign fixed by the normal (-sin d, cos d)."""
     if not math.isfinite(direction):
         raise InputError(f"line direction must be finite, got {direction}")
-    d = direction % math.pi
-    if d >= math.pi:  # fp edge: direction a hair under a multiple of pi
-        d -= math.pi
-    wraps = round((direction - d) / math.pi)
-    # folding the direction by pi flips the normal, hence the signed distance
-    dist = -distance if wraps % 2 else distance
-    return RobotObservation(kind=LINE, distance=dist, direction=d)
+    dist, d = _fold_lines(distance, direction)
+    return RobotObservation(kind=LINE, distance=float(dist), direction=float(d))
 
 
 def corner_observation(position, orientation: float) -> RobotObservation:
@@ -170,11 +176,10 @@ def _layout_features(spec: FieldSpec):
     carrying the bisector orientation of its arm pair.
     Points: the goal posts.
     """
-    starts = np.array([seg[0] for seg in spec.line_segments], dtype=float)
-    ends = np.array([seg[1] for seg in spec.line_segments], dtype=float)
+    segments = np.array(spec.line_segments, dtype=float).reshape(-1, 2, 2)
+    starts, ends = segments[:, 0], segments[:, 1]
     d = ends - starts
-    phi = np.mod(np.arctan2(d[:, 1], d[:, 0]), math.pi)
-    phi = np.where(phi >= math.pi, 0.0, phi)
+    _, phi = _fold_lines(0.0, np.arctan2(d[:, 1], d[:, 0]))
     normals = np.column_stack([-np.sin(phi), np.cos(phi)])
     offsets = np.einsum("ij,ij->i", normals, starts)
 
@@ -190,48 +195,26 @@ def _layout_features(spec: FieldSpec):
     return (starts, ends, phi, normals, offsets), (cpos, corient), posts
 
 
-def expected_observations(pose: FieldPose, spec: FieldSpec,
-                          max_range: float) -> list[RobotObservation]:
-    """Every layout feature within range, transformed into the robot frame."""
-    (starts, ends, phi, normals, offsets), (cpos, corient), posts = _layout_features(spec)
-    out: list[RobotObservation] = []
-    p = np.array([pose.x, pose.y])
-    seg_dist = points_segments_distance(p, starts, ends)[0]
-    for i in np.flatnonzero(seg_dist <= max_range):
-        d_r = float(offsets[i] - normals[i] @ p)
-        out.append(line_observation(d_r, float(phi[i] - pose.theta)))
-    c, s = math.cos(-pose.theta), math.sin(-pose.theta)
-    rot = np.array([[c, -s], [s, c]])
-    if len(cpos):
-        rel = (cpos - p) @ rot.T
-        rng_mask = np.hypot(rel[:, 0], rel[:, 1]) <= max_range
-        for i in np.flatnonzero(rng_mask):
-            out.append(corner_observation(tuple(rel[i]),
-                                          corient[i] - pose.theta))
-    rel = (posts - p) @ rot.T
-    for i in np.flatnonzero(np.hypot(rel[:, 0], rel[:, 1]) <= max_range):
-        out.append(point_observation(tuple(rel[i])))
-    return out
-
-
 # --- measurement model -------------------------------------------------------
 #
 # The expected features depend on the particle poses only, so they are
-# computed once per update. The in-range test runs on every (particle,
-# feature) pair of a kind, and only the in-range pairs are gathered, laid
-# out level by level (_Pairs): level k holds the k-th in-range feature of
-# every particle that has more than k. Each observation then runs its
-# residual arithmetic on those flat pairs, and a per-particle minimum folds
-# the levels together; a particle with no pair gets inf. The arithmetic
-# uses the same elementwise operations, in the same order, as the
-# per-feature reference loops in tests/test_localization_oracle.py, the
-# minimum is exact, and update_and_resample multiplies the per-observation
-# likelihoods into the weights in observation order. So the weights stay
-# bit-identical to that reference; reordering the arithmetic or the
-# products changes their last bits and with them every seeded run. Every
-# ufunc over pairs runs on contiguous operands of one shape and dtype: the
-# in-range tests on each particle value repeated and each feature value
-# tiled, not broadcast, and the residuals on values gathered per pair.
+# computed once per update (expected_observations reads them at one pose;
+# lines fold through _fold_lines, as line_observation's do). The in-range
+# test runs on every (particle, feature) pair of a kind, and only the
+# in-range pairs are gathered, laid out level by level (_Pairs): level k
+# holds the k-th in-range feature of every particle that has more than k.
+# Each observation then runs its residual arithmetic on those flat pairs,
+# and a per-particle minimum folds the levels together; a particle with no
+# pair gets inf. The arithmetic uses the same elementwise operations, in
+# the same order, as the per-feature reference loops in
+# tests/test_localization_oracle.py, the minimum is exact, and
+# update_and_resample multiplies the per-observation likelihoods into the
+# weights in observation order. So the weights stay bit-identical to that
+# reference; reordering the arithmetic or the products changes their last
+# bits and with them every seeded run. Every ufunc over pairs runs on
+# contiguous operands of one shape and dtype: the in-range tests on each
+# particle value repeated and each feature value tiled, not broadcast, and
+# the residuals on values gathered per pair.
 
 _RESIDUAL_DIMS = {LINE: 2, CORNER: 2, POINT: 1}
 
@@ -301,16 +284,26 @@ def _expected_features(poses: np.ndarray, spec: FieldSpec, max_range: float) -> 
     lines = _Pairs((dist <= max_range).reshape(n, s))
     at, of = lines.particle, lines.feature
     d_exp = offsets[of] - (normals[of, 0] * x[at] + normals[of, 1] * y[at])
-    raw = phi[of] - th[at]
-    phi_exp = np.mod(raw, math.pi)
-    phi_exp = np.where(phi_exp >= math.pi, phi_exp - math.pi, phi_exp)
-    # folding the direction by pi flips the normal and the signed distance
-    wraps = np.rint((raw - phi_exp) / math.pi)
-    d_exp = np.where(wraps % 2 != 0, -d_exp, d_exp)
+    d_exp, phi_exp = _fold_lines(d_exp, phi[of] - th[at])
     corners = _to_robot_frame(cpos, x, y, th, max_range)
     return {LINE: (lines, d_exp, phi_exp),
             CORNER: (*corners, corient[corners[0].feature] - th[corners[0].particle]),
             POINT: _to_robot_frame(posts, x, y, th, max_range)}
+
+
+def expected_observations(pose: FieldPose, spec: FieldSpec,
+                          max_range: float) -> list[RobotObservation]:
+    """Every layout feature within range in the robot frame, by kind in layout
+    order: the particle model, _expected_features, at one pose."""
+    expected = _expected_features(np.array([[pose.x, pose.y, pose.theta]]), spec, max_range)
+    _, d_exp, phi_exp = expected[LINE]
+    _, cx, cy, corient = expected[CORNER]
+    _, px, py = expected[POINT]
+    return ([RobotObservation(kind=LINE, distance=d, direction=phi)
+             for d, phi in zip(d_exp.tolist(), phi_exp.tolist())]
+            + [corner_observation((x, y), o)
+               for x, y, o in zip(cx.tolist(), cy.tolist(), corient.tolist())]
+            + [point_observation(p) for p in zip(px.tolist(), py.tolist())])
 
 
 def _residuals_sq(obs: RobotObservation, expected: dict, sm: SensorModel) -> np.ndarray:

@@ -3,7 +3,12 @@
 Run it on two commits and compare the listings to show that a change keeps
 every CLI output byte-identical:
 
-    PYTHONPATH=src python3 tests/cli_hashes.py
+    PYTHONPATH=src python3 tests/cli_hashes.py > parent.txt    # on the parent
+    PYTHONPATH=src python3 tests/cli_hashes.py --against parent.txt
+
+With --against it prints, instead of the listing, each output whose hash
+moved, that appeared or that vanished against the saved listing, and exits
+1 if any did.
 
 The command set is acceptance criterion 8's (tests/test_acceptance.py),
 with its fixtures hashed too, plus what it leaves out: detect-lines on an
@@ -18,6 +23,7 @@ test_*.py pattern, so the suite does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -136,8 +142,11 @@ COMMANDS = [
 ]
 
 
-def main() -> int:
+def hashes() -> dict[str, str] | None:
+    """SHA-256 of every output by file name, in command order; None if a
+    command did not exit 0."""
     home = os.getcwd()
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # commands name their files relative to the directory
         try:
@@ -148,12 +157,43 @@ def main() -> int:
                     code = cli_main(argv)
                 if code != 0:
                     print(f"exit {code}: {' '.join(argv)}\n{err.getvalue()}", file=sys.stderr)
-                    return 1
-                for out in outputs:
-                    print(f"{hashlib.sha256(Path(out).read_bytes()).hexdigest()}  {out}")
+                    return None
+                for name in outputs:
+                    out[name] = hashlib.sha256(Path(name).read_bytes()).hexdigest()
         finally:
             os.chdir(home)
-    return 0
+    return out
+
+
+def differences(saved: dict[str, str], now: dict[str, str]) -> list[str]:
+    """One line per output that moved, appeared or vanished."""
+    lines = [f"moved     {name}  {saved[name]} -> {digest}" for name, digest in now.items()
+             if name in saved and saved[name] != digest]
+    lines += [f"appeared  {name}  {digest}" for name, digest in now.items() if name not in saved]
+    lines += [f"vanished  {name}  {digest}" for name, digest in saved.items() if name not in now]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="LISTING",
+                        help="a saved listing to compare this run with")
+    args = parser.parse_args(argv)
+    now = hashes()
+    if now is None:
+        return 1
+    if args.against is None:
+        for name, digest in now.items():
+            print(f"{digest}  {name}")
+        return 0
+    saved = dict(reversed(line.split(None, 1))
+                 for line in Path(args.against).read_text().splitlines() if line.strip())
+    lines = differences(saved, now)
+    if not lines:
+        print(f"all {len(now)} outputs unchanged")
+        return 0
+    print("\n".join(lines))
+    return 1
 
 
 if __name__ == "__main__":

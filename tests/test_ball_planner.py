@@ -151,14 +151,31 @@ def test_intersect_opponent_agrees_with_vectorized_blocked_flags():
 
 # --- heuristic ---------------------------------------------------------------
 
+def scalar_heuristic(ctx: PlanContext, to_pos, first_kick: bool) -> float:
+    """The scalar heuristic that the vectorized one replaced, kept verbatim as
+    an oracle: remaining time estimate: ball to goal, plus teammate approach
+    on the first kick."""
+    dx = ctx.goal_center[0] - to_pos[0]
+    dy = ctx.goal_center[1] - to_pos[1]
+    goal_time = math.sqrt(dx * dx + dy * dy) / ctx.ball_speed
+    if first_kick and ctx.teammates:
+        goal_time += min(time_to_approach_ball(to_pos, tm, ctx) for tm in ctx.teammates)
+    return goal_time
+
+
+def heuristic_at(ctx, point, first_kick):
+    """The vectorized heuristic at one point."""
+    return float(heuristic(ctx, np.array([point], dtype=float), first_kick)[0])
+
+
 def test_heuristic_zero_at_goal():
     ctx = ctx_at((0.0, 0.0))
-    assert heuristic(ctx, ctx.goal_center, first_kick=False) == 0.0
+    assert heuristic_at(ctx, ctx.goal_center, first_kick=False) == 0.0
 
 
 def test_heuristic_goal_distance_over_ball_speed():
     ctx = ctx_at((0.0, 0.0))
-    assert heuristic(ctx, (1.5, 0.0), first_kick=False) == pytest.approx(1.5)
+    assert heuristic_at(ctx, (1.5, 0.0), first_kick=False) == pytest.approx(1.5)
 
 
 def test_heuristic_first_kick_teammate_at_spot():
@@ -166,14 +183,32 @@ def test_heuristic_first_kick_teammate_at_spot():
     mate = FieldPose(to[0], to[1], 0.0)  # at the spot, already facing the goal
     ctx = ctx_at((0.0, 0.0), teammates=(mate,))
     goal_term = math.dist(to, ctx.goal_center) / ctx.ball_speed
-    assert heuristic(ctx, to, first_kick=True) == pytest.approx(goal_term)
+    assert heuristic_at(ctx, to, first_kick=True) == pytest.approx(goal_term)
     # without teammates the first-kick heuristic is just the goal term
     ctx2 = ctx_at((0.0, 0.0))
-    assert heuristic(ctx2, to, first_kick=True) == pytest.approx(goal_term)
+    assert heuristic_at(ctx2, to, first_kick=True) == pytest.approx(goal_term)
     # a distant teammate adds its walk time
     far = FieldPose(to[0] - 1.0, to[1], 0.0)
     ctx3 = ctx_at((0.0, 0.0), teammates=(far,))
-    assert heuristic(ctx3, to, first_kick=True) == pytest.approx(goal_term + 5.0)
+    assert heuristic_at(ctx3, to, first_kick=True) == pytest.approx(goal_term + 5.0)
+
+
+@pytest.mark.parametrize("teammates", [0, 1, 2, 3])
+@pytest.mark.parametrize("first_kick", [False, True])
+def test_heuristic_matches_scalar_oracle(teammates, first_kick):
+    rng = np.random.default_rng(teammates)
+    for _ in range(20):
+        tms = tuple(FieldPose(rng.uniform(-4.4, 4.4), rng.uniform(-2.9, 2.9),
+                              rng.uniform(-np.pi, np.pi)) for _ in range(teammates))
+        ctx = ctx_at((0.0, 0.0), teammates=tms, ball_speed=rng.uniform(0.5, 3.0),
+                     goal_center=(4.5, rng.uniform(-0.5, 0.5)))
+        points = rng.uniform((-4.5, -3.0), (4.5, 3.0), (50, 2))
+        # teammates' own positions: approach time zero or pure turn
+        for i, tm in enumerate(tms):
+            points[i] = tm.x, tm.y
+        got = heuristic(ctx, points, first_kick)
+        want = [scalar_heuristic(ctx, tuple(p), first_kick) for p in points]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # --- full planning -----------------------------------------------------------

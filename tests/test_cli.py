@@ -20,6 +20,11 @@ SMALL_CAMERA = {"intrinsics": SMALL_INTRINSICS,
                 "extrinsics": {"position": [-1.0, 0.0, 0.7], "rpy": [0.0, 0.75, 0.0]}}
 SMALL_RIG = {"baseline": 0.062, "focal": 700.0, "cx": 3.5, "cy": 3.5, "width": 8, "height": 8}
 PLAN = {"robot": [0, 0, 0], "ball": [0.5, 0.2]}
+# one localize step that scores every observation kind against the field
+STEP = {"odometry": [0.1, 0.0, 0.0], "observations": [
+    {"kind": "line", "distance": 1.0, "direction": 0.3},
+    {"kind": "corner", "position": [1.0, 0.5], "orientation": 0.2},
+    {"kind": "point", "position": [2.0, 0.4]}]}
 # stereo params under which the rendered pair gives one obstacle cluster
 PAIR_PARAMS = {"voxel": 0.03, "protrusion": 0.08, "link_dist": 0.1, "min_cluster_size": 8}
 NAN, INF = float("nan"), float("inf")
@@ -229,6 +234,13 @@ def test_count_too_large_for_memory_exit_code(tmp_path):
     (["localize"], {"steps": [{"odometry": [0, 0, 0], "observations": [
         {"kind": "corner", "position": [INF, 0.5], "orientation": 0.2}]}]}, 2),
     (["localize"], {"steps": [{"odometry": [0, NAN, 0], "observations": []}]}, 2),
+    # a field without painted lines has no line or corner to expect, only posts
+    (["localize"], {"field": {"line_segments": []}, "steps": [STEP]}, 0),
+    (["gen-trajectory", "--steps", "2"], {"field": {"line_segments": []}}, 0),
+    # a zero-length painted segment is refused wherever the field is read
+    *(([command], {**doc, "field": {"line_segments": [[[1.0, 1.0], [1.0, 1.0]]]}}, 2)
+      for command, doc in (("render", {}), ("plan", PLAN), ("localize", {"steps": [STEP]}),
+                           ("gen-trajectory", {}))),
 ])
 def test_malformed_document_exit_code(tmp_path, stereo_pair, argv, doc, code):
     img = tmp_path / "img.ppm"

@@ -49,12 +49,15 @@ COMMANDS = {
     "birdview": (["birdview", "{img}", "{doc}"], CAMERA, ["--bilinear"]),
     "distort": (["distort", "{img}", "{doc}"], CAMERA, ["--k1", "--k2", "--mask-fov"]),
     "mask": (["mask", "{doc}"], CAMERA, ["--fov-deg"]),
+    # the field's segments make a cross, so the layout has lines and corners
     "localize": (["localize", "{doc}"],
                  {"sigmas": {"sigma_d": 0.2, "max_range": 4.0}, "odom_noise": [0.02, 0.02, 0.02],
+                  "field": {"line_segments": [[[-1.0, 0.0], [1.0, 0.0]],
+                                              [[0.0, -1.0], [0.0, 1.0]]]},
                   "steps": [{"odometry": [0.1, 0.0, 0.0], "observations": [
                       {"kind": "line", "distance": 1.0, "direction": 0.3},
                       {"kind": "corner", "position": [1.0, 0.5], "orientation": 0.2},
-                      {"kind": "post", "position": [2.0, 0.4]}]}]},
+                      {"kind": "point", "position": [2.0, 0.4]}]}]},
                  ["--particles"]),
     "stereo": (["stereo", "{img}", "{img}", "{doc}"],
                {**RIG, "params": {"window": 3, "max_disparity": 4, "step": 1,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,18 @@ def test_invalid_specs_rejected():
         FieldSpec(line_segments=(((0.0, 0.0), (10.0, 0.0)),))  # outside border
     with pytest.raises(InputError):
         FieldSpec(goal_center_right=(4.0, 0.0))  # not on the border line
+
+
+def test_zero_length_segment_rejected():
+    seg = ((1.0, 1.0), (1.0, 1.0))
+    with pytest.raises(InputError, match=re.escape(f"line segment {seg} has zero length")):
+        FieldSpec(line_segments=(seg,))
+    with pytest.raises(InputError, match="has zero length"):
+        FieldSpec.from_dict({"line_segments": [[[1, 1], [1, 1]]]})
+    # the shortest segment is still a segment, and so is an empty layout
+    tiny = ((1.0, 1.0), (1.0, math.nextafter(1.0, 2.0)))
+    assert FieldSpec(line_segments=(tiny,)).line_segments == (tiny,)
+    assert FieldSpec(line_segments=()).line_segments == ()
 
 
 def test_pose_theta_normalized():

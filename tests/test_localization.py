@@ -134,6 +134,10 @@ def test_from_dict_builds_the_canonical_observation(spec):
     assert wrapped.distance == exact.distance
     assert wrapped.direction == pytest.approx(exact.direction, abs=1e-12)
     assert observation_likelihood(wrapped, pose, spec, sm) == pytest.approx(1.0)
+    # the kind is checked before any field it would need
+    for doc in ({"kind": "blob"}, {"kind": "blob", "position": [1.0, 0.5]}, {"kind": None}):
+        with pytest.raises(InputError, match="unknown observation kind"):
+            RobotObservation.from_dict(doc)
 
 
 @pytest.mark.parametrize("fields", [

@@ -1,12 +1,14 @@
-"""The vectorized measurement kernel and the run-length mode against the
-code they replaced.
+"""The vectorized measurement kernel, its one-pose view and the run-length
+mode against the code they replaced.
 
 The three residual functions below are the earlier implementation, kept
 verbatim (with the BLAS point-to-segment distance and the np.mod angle wrap
 they called) as an independent oracle. The weights of update_and_resample
-must match theirs bit for bit. The O(N^2) estimate_dominant_pose is kept
-verbatim too, and the mode over runs of equal poses must return the same
-pose on every set.
+must match theirs bit for bit. The per-pose expected_observations loop is
+kept verbatim too, with the Python-float line fold it called, and the view
+of the particle model must return the same observations. So is the O(N^2)
+estimate_dominant_pose, and the mode over runs of equal poses must return
+the same pose on every set.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 
 from fieldkit.errors import Degenerate, InputError
 from fieldkit.field_model import FieldPose, FieldSpec
+from fieldkit.geometry import points_segments_distance
 from fieldkit.localization import (
     CORNER,
     LINE,
@@ -28,11 +31,15 @@ from fieldkit.localization import (
     SensorModel,
     _layout_features,
     _observation_likelihoods,
+    corner_observation,
     estimate_dominant_pose,
     estimate_pose,
+    expected_observations,
     observation_likelihood,
+    point_observation,
     update_and_resample,
 )
+from fieldkit.localization import line_observation as library_line_observation
 from fieldkit.synth import Scene, generate_trajectory
 
 SPEC = FieldSpec()
@@ -247,6 +254,93 @@ def test_single_pose_likelihood_matches_oracle():
         for obs in observations:
             want = float(_likelihoods(obs, pose.reshape(1, 3), SPEC, sm)[0])
             assert observation_likelihood(obs, fp, SPEC, sm) == want
+
+
+# --- oracle: the per-pose expected observations, verbatim ----------------------
+
+def line_observation(distance: float, direction: float) -> RobotObservation:
+    """Canonical line observation: direction folded into [0, pi), distance
+    sign fixed by the normal (-sin d, cos d)."""
+    if not math.isfinite(direction):
+        raise InputError(f"line direction must be finite, got {direction}")
+    d = direction % math.pi
+    if d >= math.pi:  # fp edge: direction a hair under a multiple of pi
+        d -= math.pi
+    wraps = round((direction - d) / math.pi)
+    # folding the direction by pi flips the normal, hence the signed distance
+    dist = -distance if wraps % 2 else distance
+    return RobotObservation(kind=LINE, distance=dist, direction=d)
+
+
+def oracle_expected_observations(pose: FieldPose, spec: FieldSpec,
+                                 max_range: float) -> list[RobotObservation]:
+    """Every layout feature within range, transformed into the robot frame."""
+    (starts, ends, phi, normals, offsets), (cpos, corient), posts = _layout_features(spec)
+    out: list[RobotObservation] = []
+    p = np.array([pose.x, pose.y])
+    seg_dist = points_segments_distance(p, starts, ends)[0]
+    for i in np.flatnonzero(seg_dist <= max_range):
+        d_r = float(offsets[i] - normals[i] @ p)
+        out.append(line_observation(d_r, float(phi[i] - pose.theta)))
+    c, s = math.cos(-pose.theta), math.sin(-pose.theta)
+    rot = np.array([[c, -s], [s, c]])
+    if len(cpos):
+        rel = (cpos - p) @ rot.T
+        rng_mask = np.hypot(rel[:, 0], rel[:, 1]) <= max_range
+        for i in np.flatnonzero(rng_mask):
+            out.append(corner_observation(tuple(rel[i]),
+                                          corient[i] - pose.theta))
+    rel = (posts - p) @ rot.T
+    for i in np.flatnonzero(np.hypot(rel[:, 0], rel[:, 1]) <= max_range):
+        out.append(point_observation(tuple(rel[i])))
+    return out
+
+
+def assert_same_observations(got, want):
+    """Equal kinds in equal order, equal line values and corner orientations,
+    and positions within 1e-14 m (the elementwise rotation against the
+    oracle's matrix product)."""
+    assert [o.kind for o in got] == [o.kind for o in want]
+    for g, w in zip(got, want):
+        if g.kind == LINE:
+            assert (g.distance, g.direction) == (w.distance, w.direction)
+            continue
+        assert max(abs(a - b) for a, b in zip(g.position, w.position)) <= 1e-14
+        assert g.orientation == w.orientation
+
+
+@pytest.mark.parametrize("spec", [SPEC, FieldSpec(line_segments=())], ids=["default", "no-lines"])
+def test_expected_observations_match_per_pose_loop(spec):
+    rng = np.random.default_rng(11)
+    poses = [FieldPose(*p) for p in np.column_stack([
+        rng.uniform(-5.0, 5.0, 1000), rng.uniform(-3.5, 3.5, 1000),
+        rng.uniform(-math.pi, math.pi, 1000)])]
+    # off the field, where nothing is in range, and on a layout corner and a
+    # goal post, where a feature sits at range 0
+    poses += [FieldPose(100.0, 0.0, 0.0), FieldPose(-4.5, -3.0, 0.3),
+              FieldPose(*spec.goal_posts[0], -2.0)]
+    seen = {LINE: 0, CORNER: 0, POINT: 0}
+    for pose in poses:
+        for max_range in (0.0, 0.5, 4.0, math.inf):
+            want = oracle_expected_observations(pose, spec, max_range)
+            assert_same_observations(expected_observations(pose, spec, max_range), want)
+            for o in want:
+                seen[o.kind] += 1
+    assert seen[POINT] > 0 and (seen[LINE] > 0) == bool(spec.line_segments)
+    assert (seen[CORNER] > 0) == bool(spec.line_segments)
+
+
+def test_line_fold_matches_python_fold():
+    rng = np.random.default_rng(12)
+    directions = np.concatenate([
+        rng.uniform(-20.0, 20.0, 2000),
+        # a hair either side of multiples of pi, and the multiples themselves
+        np.array([k * math.pi for k in range(-6, 7)])[:, None]
+        + np.array([-1e-15, -1e-16, 0.0, 1e-16, 1e-15]),
+    ], axis=None)
+    for distance, direction in zip(rng.normal(0.0, 2.0, len(directions)), directions.tolist()):
+        assert library_line_observation(distance, direction) == \
+            line_observation(float(distance), direction)
 
 
 # --- oracle: the O(N^2) mode, verbatim ----------------------------------------
