@@ -7,13 +7,15 @@ as bare positions. Lines carry orientation information, corners carry
 both orientation and position, which is what makes a corner the most
 informative of the three. One robot-frame feature model, _expected_features,
 scores particles in update_and_resample and, read at one pose by
-expected_observations, gives synth its observations.
+expected_observations, gives synth its observations. Each particle scores
+an observation on its nearest in-range feature: one np.minimum.reduceat over
+its run of the row-major (particle, feature) pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
@@ -201,57 +203,43 @@ def _layout_features(spec: FieldSpec):
 # computed once per update (expected_observations reads them at one pose;
 # lines fold through _fold_lines, as line_observation's do). The in-range
 # test runs on every (particle, feature) pair of a kind, and only the
-# in-range pairs are gathered, laid out level by level (_Pairs): level k
-# holds the k-th in-range feature of every particle that has more than k.
-# Each observation then runs its residual arithmetic on those flat pairs,
-# and a per-particle minimum folds the levels together; a particle with no
-# pair gets inf. The arithmetic uses the same elementwise operations, in
-# the same order, as the per-feature reference loops in
-# tests/test_localization_oracle.py, the minimum is exact, and
-# update_and_resample multiplies the per-observation likelihoods into the
-# weights in observation order. So the weights stay bit-identical to that
-# reference; reordering the arithmetic or the products changes their last
-# bits and with them every seeded run. Every ufunc over pairs runs on
-# contiguous operands of one shape and dtype: the in-range tests on each
-# particle value repeated and each feature value tiled, not broadcast, and
-# the residuals on values gathered per pair.
+# in-range pairs are gathered, in row-major order (_Pairs), so each
+# particle's pairs are adjacent. Each observation runs its residual
+# arithmetic on those flat pairs, and one np.minimum.reduceat over the runs
+# gives each particle its best feature; a particle with no pair gets inf.
+# The arithmetic uses the same elementwise operations, in the same order, as
+# the per-feature reference loops in tests/test_localization_oracle.py, a
+# minimum is exact in any order, and update_and_resample multiplies the
+# per-observation likelihoods into the weights in observation order. So the
+# weights stay bit-identical to that reference; reordering the arithmetic or
+# the products changes their last bits and with them every seeded run. Every
+# ufunc over pairs runs on contiguous operands of one shape and dtype: the
+# in-range tests on each particle value repeated and each feature value
+# tiled, not broadcast, and the residuals on values gathered per pair.
 
 _RESIDUAL_DIMS = {LINE: 2, CORNER: 2, POINT: 1}
 
 
 class _Pairs:
-    """The in-range (particle, feature) pairs of an (N, S) mask, level by level.
-
-    order lists the particles by descending pair count, ties by index, so
-    level k's particles are order[:sizes[k]], and its pairs follow level
-    k - 1's. particle and feature give each pair's indices.
+    """The in-range (particle, feature) pairs of an (N, S) mask in row-major
+    order, so each particle's pairs are adjacent. particle and feature give
+    each pair's indices, seen the particles that have a pair, and starts
+    where each of their runs begins (strictly increasing, so reduceat's rule
+    for a start that does not exceed the next never applies).
     """
 
     def __init__(self, in_range: np.ndarray):
-        particle, feature = np.nonzero(in_range)
-        counts = np.bincount(particle, minlength=len(in_range))
-        self.order = np.argsort(-counts, kind="stable")
-        sizes = (len(counts) - np.cumsum(np.bincount(counts)))[:-1]
-        self.sizes = sizes.tolist()
-        rank = np.arange(len(particle)) - (np.cumsum(counts) - counts)[particle]
-        position = np.empty_like(self.order)
-        position[self.order] = np.arange(len(self.order))
-        slot = np.concatenate(([0], np.cumsum(sizes)))[rank] + position[particle]
-        self.particle, self.feature = np.empty_like(particle), np.empty_like(feature)
-        self.particle[slot] = particle
-        self.feature[slot] = feature
+        self.n = len(in_range)
+        self.particle, self.feature = np.nonzero(in_range)
+        # not count_nonzero(axis=1), a casting reduction through numpy's iterator
+        counts = np.bincount(self.particle, minlength=self.n)
+        self.seen = np.flatnonzero(counts)
+        self.starts = (np.cumsum(counts) - counts)[self.seen]
 
     def minimum(self, values: np.ndarray) -> np.ndarray:
         """Per-particle minimum of one value per pair; inf without a pair."""
-        out = np.full(len(self.order), np.inf)
-        if not self.sizes:
-            return out
-        best = values[:self.sizes[0]].copy()
-        start = self.sizes[0]
-        for size in self.sizes[1:]:
-            np.minimum(best[:size], values[start:start + size], out=best[:size])
-            start += size
-        out[self.order[:self.sizes[0]]] = best
+        out = np.full(self.n, np.inf)
+        out[self.seen] = np.minimum.reduceat(values, self.starts)
         return out
 
 

@@ -1,5 +1,6 @@
 """Shared test fixtures: independent oracles used by several modules."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -128,3 +129,12 @@ def _run_beside_tracemalloc_toggle(setup: str, body: str, seconds: float = 5.0):
 @pytest.fixture(scope="session")
 def run_beside_tracemalloc_toggle():
     return _run_beside_tracemalloc_toggle
+
+
+@pytest.fixture(scope="session")
+def perfbench_workloads():
+    """perfbench's workloads module, imported read-only: the benchmark's
+    seeded inputs and settings, for oracles that compare on them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return importlib.import_module("workloads")

@@ -20,8 +20,6 @@ is dropped.
 
 import dataclasses
 import heapq
-import importlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +38,6 @@ from fieldkit.ball_planner import (
 from fieldkit.errors import InputError, NoPath
 from fieldkit.field_model import FieldPose, FieldSpec, GridIndex, cell_center, pose_to_cell
 
-ROOT = Path(__file__).resolve().parents[1]
 SPEC = FieldSpec()
 FINE = FieldSpec(cell_size=0.05)
 
@@ -174,12 +171,9 @@ def random_scene(rng):
 
 
 @pytest.fixture(scope="module")
-def set_pieces():
+def set_pieces(perfbench_workloads):
     """perfbench's set_pieces workload, imported read-only."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(ROOT / "perfbench"))
-        workloads = importlib.import_module("workloads")
-    return workloads.build("set_pieces")
+    return perfbench_workloads.build("set_pieces")
 
 
 # --- equality ----------------------------------------------------------------------

@@ -14,9 +14,7 @@ once, on a flat accumulator, so its segments, and the random numbers it
 draws, must be equal.
 """
 
-import importlib
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +35,6 @@ from fieldkit.line_vision import (
 )
 from fieldkit.raster import Raster
 from fieldkit.synth import GRASS_GREEN, GRASS_LUMA, Scene, render_birdview, render_field
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 # --- oracle: the row loop, verbatim --------------------------------------------
@@ -485,13 +481,11 @@ def assert_hough_matches(points, cfg, seed=None, state=None):
 
 
 @pytest.fixture(scope="module")
-def workload_candidates():
+def workload_candidates(perfbench_workloads):
     """The Hough inputs of detect_lines on head_scan's and match_frames'
     camera frames, seeds 1 and 2, built read-only through perfbench's
     workloads: (points, generator state) per call."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(ROOT / "perfbench"))
-        workloads = importlib.import_module("workloads")
+    workloads = perfbench_workloads
     calls = []
     hough = line_vision.hough_segments
 

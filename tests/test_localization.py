@@ -326,17 +326,24 @@ def test_filter_tracks_from_good_prior(spec):
 
 def test_update_survives_tracemalloc_stopped_from_another_thread(run_beside_tracemalloc_toggle):
     # the (N, 1) pose columns broadcast against the features crashed here in
-    # 1 of 6 8 s runs
+    # 1 of 6 8 s runs. Only a few updates fit in the window, so the body also
+    # runs the per-particle minimum on the update's own pairs, about a
+    # thousand times per window
     proc = run_beside_tracemalloc_toggle("""
         import numpy as np
         from fieldkit.field_model import FieldPose, FieldSpec
-        from fieldkit.localization import (ParticleSet, SensorModel,
+        from fieldkit.localization import (ParticleSet, SensorModel, _expected_features,
                                            expected_observations, update_and_resample)
         spec, sensor = FieldSpec(), SensorModel()
         rng = np.random.default_rng(0)
         particles = ParticleSet.uniform(spec, 500, rng)
         observations = expected_observations(FieldPose(-1.0, 0.5, 0.4), spec, 4.0)
+        expected = _expected_features(particles.poses, spec, sensor.max_range)
+        pairs = [(e[0], e[1]) for e in expected.values()]
     """, """
         update_and_resample(particles, observations, spec, sensor, rng)
+        for _ in range(100):
+            for p, values in pairs:
+                p.minimum(values)
     """)
     assert proc.returncode == 0, proc.stderr[-2000:]

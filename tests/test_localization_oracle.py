@@ -8,7 +8,8 @@ must match theirs bit for bit. The per-pose expected_observations loop is
 kept verbatim too, with the Python-float line fold it called, and the view
 of the particle model must return the same observations. So is the O(N^2)
 estimate_dominant_pose, and the mode over runs of equal poses must return
-the same pose on every set.
+the same pose on every set. The per-particle minimum over in-range pairs
+must equal the dense (N, S) masked minimum on every mask.
 """
 
 import math
@@ -31,6 +32,7 @@ from fieldkit.localization import (
     SensorModel,
     _layout_features,
     _observation_likelihoods,
+    _Pairs,
     corner_observation,
     estimate_dominant_pose,
     estimate_pose,
@@ -254,6 +256,46 @@ def test_single_pose_likelihood_matches_oracle():
         for obs in observations:
             want = float(_likelihoods(obs, pose.reshape(1, 3), SPEC, sm)[0])
             assert observation_likelihood(obs, fp, SPEC, sm) == want
+
+
+# --- the pair minimum against the dense masked minimum -------------------------
+
+def _pair_masks():
+    """Seeded random masks with empty first and last rows, an all-empty
+    mask, one particle, one feature, and rows with every pair in range."""
+    rng = np.random.default_rng(13)
+    masks = {}
+    for n, s, p in [(500, 17, 0.3), (2000, 24, 0.05), (9, 5, 0.5), (60, 1, 0.5)]:
+        mask = rng.random((n, s)) < p
+        mask[[0, -1]] = False
+        masks[f"random-{n}x{s}"] = mask
+    masks["empty"] = np.zeros((30, 8), dtype=bool)
+    masks["one-particle"] = (np.arange(17) % 3 == 1)[None, :]
+    masks["one-particle-empty"] = np.zeros((1, 17), dtype=bool)
+    masks["one-pair"] = np.ones((1, 1), dtype=bool)
+    full_row = rng.random((40, 12)) < 0.2
+    full_row[0] = False
+    full_row[[17, -1]] = True
+    masks["full-row"] = full_row
+    masks["full"] = np.ones((6, 4), dtype=bool)
+    return masks
+
+
+PAIR_MASKS = _pair_masks()
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_MASKS))
+def test_pair_minimum_matches_dense_minimum(name):
+    mask = PAIR_MASKS[name]
+    pairs = _Pairs(mask)
+    rng = np.random.default_rng(14)
+    # whole numbers tie often within a row
+    for dense in (rng.uniform(0.0, 10.0, mask.shape), rng.integers(0, 4, mask.shape) * 1.0):
+        values = dense[pairs.particle, pairs.feature]
+        got = pairs.minimum(values)
+        want = np.where(mask, dense, np.inf).min(axis=1)
+        assert got.shape == want.shape
+        assert (got == want).all()
 
 
 # --- oracle: the per-pose expected observations, verbatim ----------------------

@@ -20,9 +20,7 @@ that lie at inlier_dist from a sampled plane.
 """
 
 import dataclasses
-import importlib
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -185,8 +183,6 @@ MAX_DISPARITIES = (0, 2, 3, 64, 80)  # 80 is at least every raster's width below
 # rows, and none of the first when the step is wider than the window
 STEPS = (1, 2, 3, 4, 7)
 UNIQUENESS = (0.0, 0.15)
-
-ROOT = Path(__file__).resolve().parents[1]
 
 # criterion 7's two-post scene, seen by its 320x240 rig, and its parameters
 POSTS = tuple(Obstacle(x, y, 0.02, 0.3) for x, y in ((0.55, -0.12), (0.55, 0.12)))
@@ -480,11 +476,9 @@ def criterion_7_cloud(criterion_7_pair):
 
 
 @pytest.fixture(scope="module")
-def match_frames_clouds():
+def match_frames_clouds(perfbench_workloads):
     """The clouds of perfbench's match_frames stereo pairs, seeds 1 and 2."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(ROOT / "perfbench"))
-        workloads = importlib.import_module("workloads")
+    workloads = perfbench_workloads
     wl = workloads.build("match_frames")
     clouds = []
     for seed in (1, 2):
